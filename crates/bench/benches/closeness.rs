@@ -1,11 +1,17 @@
 //! Criterion bench — social closeness computation (Eqs. (2)–(4), (10)).
+//!
+//! The point-query cells time the `ClosenessModel` reference; the
+//! `bulk_200_pairs` cell times the snapshot's grouped pair kernel, the
+//! path production reads closeness through.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use socialtrust_socnet::builder::connected_random_graph;
-use socialtrust_socnet::closeness::{closeness_for_pairs, ClosenessConfig, ClosenessModel};
+use socialtrust_socnet::closeness::{ClosenessConfig, ClosenessModel};
 use socialtrust_socnet::interaction::InteractionTracker;
+use socialtrust_socnet::interest::{InterestProfile, InterestSet};
+use socialtrust_socnet::snapshot::GraphSnapshot;
 use socialtrust_socnet::NodeId;
 
 fn env(n: usize, seed: u64) -> (socialtrust_socnet::graph::SocialGraph, InteractionTracker) {
@@ -40,15 +46,10 @@ fn bench_closeness(c: &mut Criterion) {
         let pairs: Vec<(NodeId, NodeId)> = (0..200)
             .map(|i| (NodeId::from(i % n), NodeId::from((i * 7 + 3) % n)))
             .collect();
+        let profiles = vec![InterestProfile::new(InterestSet::new()); n];
+        let snapshot = GraphSnapshot::build(&g, &t, &profiles, 0, ClosenessConfig::default());
         group.bench_with_input(BenchmarkId::new("bulk_200_pairs", n), &n, |bench, _| {
-            bench.iter(|| {
-                std::hint::black_box(closeness_for_pairs(
-                    &g,
-                    &t,
-                    ClosenessConfig::default(),
-                    &pairs,
-                ))
-            });
+            bench.iter(|| std::hint::black_box(snapshot.closeness_for_pairs(&pairs)));
         });
         let weighted = ClosenessModel::new(&g, &t, ClosenessConfig::weighted(0.8));
         group.bench_with_input(BenchmarkId::new("weighted_eq10", n), &n, |bench, _| {

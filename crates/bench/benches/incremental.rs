@@ -1,32 +1,11 @@
-//! Criterion bench — the incremental mutation pipeline.
+//! Criterion bench — incremental EigenTrust updates.
 //!
 //! The steady state of a running network mutates only a sliver of the
-//! social graph per cycle (new ratings from a handful of nodes), so the
-//! interesting regime is *sparse* invalidation: ≤1% of nodes touched
-//! between bulk coefficient queries. Two comparisons on a 10k-node
-//! network:
-//!
-//! 1. `sparse_invalidation`: after ~0.5% of nodes record new
-//!    interactions, re-query a 4000-pair working set through a cache that
-//!    (a) is flushed wholesale (`full_flush`, the pre-dirty-set
-//!    behaviour) vs (b) drains the dirty set and evicts only the touched
-//!    neighborhood (`dirty_set`). The dirty-set path keeps the untouched
-//!    region warm and should win by a wide margin (acceptance: ≥5x).
-//!
-//! 2. `eigentrust_cycle`: `end_cycle` with a sparse rating batch on a
-//!    10k-node engine, cold-started (power iteration from pretrust every
-//!    cycle) vs warm-started (iteration resumes from the previous trust
-//!    vector). The iteration counts are printed alongside.
-//!
-//! The `sparse_invalidation` group carries a third cell,
-//! `dirty_set_telemetry`: the same dirty-set workload with the cache's
-//! counters re-homed onto a live telemetry registry. Its runtime vs
-//! `dirty_set` is the registry's overhead on the hot path (acceptance:
-//! <2%). The counters are lock-free relaxed atomic increments either
-//! way — attaching only re-homes the cells onto registry-owned
-//! `Arc<AtomicU64>`s — so any measured delta beyond ~1% is run-to-run
-//! noise; compare the printed hit/miss/eviction totals to confirm both
-//! cells executed the same workload before reading the timings.
+//! rating matrix per cycle (new ratings from a handful of nodes).
+//! `eigentrust_cycle` times `end_cycle` with such a sparse rating batch on
+//! a 10k-node engine, cold-started (power iteration from pretrust every
+//! cycle) vs warm-started (iteration resumes from the previous trust
+//! vector). The iteration counts are printed alongside.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
@@ -34,131 +13,9 @@ use rand_chacha::ChaCha8Rng;
 use socialtrust_reputation::eigentrust::{EigenTrust, EigenTrustConfig};
 use socialtrust_reputation::rating::Rating;
 use socialtrust_reputation::system::ReputationSystem;
-use socialtrust_socnet::builder::connected_random_graph;
-use socialtrust_socnet::cache::SocialCoefficientCache;
-use socialtrust_socnet::closeness::ClosenessConfig;
-use socialtrust_socnet::graph::SocialGraph;
-use socialtrust_socnet::interaction::InteractionTracker;
 use socialtrust_socnet::NodeId;
 
 const N: usize = 10_000;
-/// Nodes that record fresh interactions between query rounds (0.5% of N).
-const MUTATED_NODES: usize = 50;
-/// Size of the per-cycle coefficient working set.
-const WARM_PAIRS: usize = 4000;
-
-fn env(seed: u64) -> (SocialGraph, InteractionTracker) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let g = connected_random_graph(N, 6.0, (1, 2), &mut rng);
-    let mut t = InteractionTracker::new(N);
-    for _ in 0..N * 4 {
-        let a = rng.gen_range(0..N);
-        let b = rng.gen_range(0..N);
-        if a != b {
-            t.record(NodeId::from(a), NodeId::from(b), rng.gen_range(1.0..5.0));
-        }
-    }
-    (g, t)
-}
-
-fn working_set(rng: &mut ChaCha8Rng) -> Vec<(NodeId, NodeId)> {
-    (0..WARM_PAIRS)
-        .map(|_| {
-            let a = rng.gen_range(0..N);
-            let mut b = rng.gen_range(0..N);
-            if b == a {
-                b = (b + 1) % N;
-            }
-            (NodeId::from(a), NodeId::from(b))
-        })
-        .collect()
-}
-
-/// One sparse mutation round: `MUTATED_NODES` distinct raters each record
-/// one fresh interaction. `round` rotates the touched region so repeated
-/// bench iterations don't keep hitting the same 50 nodes.
-fn mutate(t: &mut InteractionTracker, round: usize) {
-    let stride = N / MUTATED_NODES;
-    for k in 0..MUTATED_NODES {
-        let from = (k * stride + round) % N;
-        let to = (from + 7) % N;
-        t.record(NodeId::from(from), NodeId::from(to), 1.0);
-    }
-}
-
-fn bench_sparse_invalidation(c: &mut Criterion) {
-    let config = ClosenessConfig::default();
-    let mut group = c.benchmark_group("sparse_invalidation_10k");
-    group.sample_size(10);
-
-    {
-        let (g, mut t) = env(23);
-        let mut rng = ChaCha8Rng::seed_from_u64(29);
-        let pairs = working_set(&mut rng);
-        let cache = SocialCoefficientCache::new();
-        let _ = cache.closeness_for_pairs(&g, &t, config, &pairs);
-        let mut round = 0usize;
-        group.bench_function("full_flush", |bench| {
-            bench.iter(|| {
-                mutate(&mut t, round);
-                round += 1;
-                cache.invalidate();
-                std::hint::black_box(cache.closeness_for_pairs(&g, &t, config, &pairs))
-            });
-        });
-    }
-
-    {
-        let (g, mut t) = env(23);
-        let mut rng = ChaCha8Rng::seed_from_u64(29);
-        let pairs = working_set(&mut rng);
-        let cache = SocialCoefficientCache::new();
-        let _ = cache.closeness_for_pairs(&g, &t, config, &pairs);
-        let mut round = 0usize;
-        group.bench_function("dirty_set", |bench| {
-            bench.iter(|| {
-                mutate(&mut t, round);
-                round += 1;
-                std::hint::black_box(cache.closeness_for_pairs(&g, &t, config, &pairs))
-            });
-        });
-        let s = cache.stats();
-        println!(
-            "[cache stats, dirty_set] {} hits / {} misses ({:.1}% hit rate), {} evictions",
-            s.hits,
-            s.misses,
-            100.0 * s.hit_rate(),
-            s.evictions
-        );
-    }
-
-    {
-        let (g, mut t) = env(23);
-        let mut rng = ChaCha8Rng::seed_from_u64(29);
-        let pairs = working_set(&mut rng);
-        let telemetry = socialtrust_telemetry::Telemetry::new();
-        let mut cache = SocialCoefficientCache::new();
-        cache.attach_telemetry(&telemetry);
-        let _ = cache.closeness_for_pairs(&g, &t, config, &pairs);
-        let mut round = 0usize;
-        group.bench_function("dirty_set_telemetry", |bench| {
-            bench.iter(|| {
-                mutate(&mut t, round);
-                round += 1;
-                std::hint::black_box(cache.closeness_for_pairs(&g, &t, config, &pairs))
-            });
-        });
-        let snap = telemetry.registry().snapshot();
-        println!(
-            "[registry, dirty_set_telemetry] {} hits / {} misses, {} evictions",
-            snap.counter("cache_hits_total"),
-            snap.counter("cache_misses_total"),
-            snap.counter("cache_evictions_total"),
-        );
-    }
-
-    group.finish();
-}
 
 /// A sparse rating batch: 200 ratings among a 1% slice of the nodes,
 /// rotated per cycle.
@@ -225,5 +82,5 @@ fn bench_eigentrust_cycle(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sparse_invalidation, bench_eigentrust_cycle);
+criterion_group!(benches, bench_eigentrust_cycle);
 criterion_main!(benches);

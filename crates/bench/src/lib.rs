@@ -28,7 +28,6 @@ use std::path::PathBuf;
 
 use serde::Serialize;
 use socialtrust_sim::prelude::*;
-use socialtrust_socnet::cache::CacheStats;
 use socialtrust_socnet::NodeId;
 
 /// How many seeded runs per experiment (paper: 5).
@@ -97,9 +96,6 @@ pub struct SystemSummary {
     pub pct_requests_to_colluders: (f64, f64),
     /// Mean colluder reputation per simulation cycle (averaged over runs).
     pub colluder_mean_per_cycle: Vec<f64>,
-    /// Social-coefficient cache counters summed over the runs (all zero
-    /// for plain systems, which never consult the cache).
-    pub cache: CacheStats,
 }
 
 /// Run `kind` on `scenario` for the configured number of runs and
@@ -143,24 +139,7 @@ pub fn summarize(
         normal_mean: summary.mean_reputation_of(&normals),
         pct_requests_to_colluders: summary.percent_requests_to_colluders(),
         colluder_mean_per_cycle,
-        cache: summary.cache_stats(),
     }
-}
-
-/// Print one cache-counter line for a cell (skipped for plain systems,
-/// whose counters are all zero).
-pub fn print_cache_stats(cell: &SystemSummary) {
-    let s = cell.cache;
-    if s.hits + s.misses + s.evictions == 0 {
-        return;
-    }
-    println!(
-        "  coefficient cache: {} hits / {} misses ({:.1}% hit rate), {} evictions",
-        s.hits,
-        s.misses,
-        100.0 * s.hit_rate(),
-        s.evictions
-    );
 }
 
 /// Print the reputation-distribution figure the paper plots: reputation per
@@ -187,7 +166,6 @@ pub fn print_distribution(title: &str, scenario: &ScenarioConfig, cell: &SystemS
         "  requests to colluders: {:.2}% ± {:.2}",
         cell.pct_requests_to_colluders.0, cell.pct_requests_to_colluders.1
     );
-    print_cache_stats(cell);
 }
 
 /// The standard four-panel experiment (the paper's Figures 8, 9, 11–14):

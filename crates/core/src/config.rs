@@ -170,13 +170,11 @@ impl SocialTrustConfig {
         if pairs.is_empty() {
             return 0;
         }
-        let closeness: Vec<f64> = pairs
-            .iter()
-            .map(|&(a, b)| ctx.closeness(a, b, self.closeness))
-            .collect();
+        let snapshot = ctx.snapshot(self.closeness);
+        let closeness = snapshot.closeness_for_pairs(pairs);
         let similarity: Vec<f64> = pairs
             .iter()
-            .map(|&(a, b)| ctx.similarity(a, b, self.weighted_similarity))
+            .map(|&(a, b)| snapshot.interest_similarity(a, b, self.weighted_similarity))
             .collect();
         if let Some(stats) = OmegaStats::from_values(&closeness) {
             self.empirical_closeness = stats;

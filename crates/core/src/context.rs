@@ -2,9 +2,10 @@
 //! of the network, bundled for concurrent access.
 //!
 //! [`SocialContext`] owns the social graph, the interaction tracker and the
-//! per-node interest profiles; it answers the two questions the detector
-//! and the Gaussian filter ask: *how close are i and j* (`Ωc`) and *how
-//! similar are their interests* (`Ωs`).
+//! per-node interest profiles; through [`SocialContext::snapshot`] it
+//! answers the two questions the detector and the Gaussian filter ask:
+//! *how close are i and j* (`Ωc`) and *how similar are their interests*
+//! (`Ωs`).
 //!
 //! [`SharedSocialContext`] is an `Arc<RwLock<…>>` handle so that the
 //! simulator (which mutates interactions and request profiles during a
@@ -15,36 +16,30 @@
 use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use socialtrust_socnet::cache::{CacheStats, SocialCoefficientCache};
 use socialtrust_socnet::closeness::ClosenessConfig;
 use socialtrust_socnet::graph::SocialGraph;
 use socialtrust_socnet::interaction::InteractionTracker;
-use socialtrust_socnet::interest::{
-    similarity, weighted_similarity, InterestId, InterestProfile, InterestSet,
-};
+use socialtrust_socnet::interest::{InterestId, InterestProfile, InterestSet};
 use socialtrust_socnet::snapshot::{GraphSnapshot, SnapshotStore};
 use socialtrust_socnet::NodeId;
 use socialtrust_telemetry::Telemetry;
 
 /// The bundled social state of the network.
 ///
-/// Closeness queries are served through an internal
-/// [`SocialCoefficientCache`]: the graph and the interaction tracker carry
-/// epoch + per-node dirty logs that every mutator feeds, so the first
-/// query after a mutation drains the accumulated dirty set and evicts only
-/// the touched neighborhood — entries for quiet regions of the network
-/// stay warm across cycles, and repeat queries on an unchanged context are
-/// O(1). Cloning a context starts with an empty cache (memoization is
-/// semantically transparent).
+/// Closeness and similarity are read through one epoch-validated CSR
+/// snapshot ([`SocialContext::snapshot`]): the graph and the interaction
+/// tracker carry epoch + per-node dirty logs that every mutator feeds, so
+/// the first snapshot after a mutation repatches only the touched rows,
+/// and repeat calls on an unchanged context return the same `Arc`.
 #[derive(Debug, Clone)]
 pub struct SocialContext {
     graph: SocialGraph,
     interactions: InteractionTracker,
     profiles: Vec<InterestProfile>,
     total_interests: u16,
-    cache: SocialCoefficientCache,
     /// Holder of the per-cycle CSR snapshot (see [`SocialContext::snapshot`]).
-    /// Cloning yields an empty store, like the cache.
+    /// Cloning yields an empty store (snapshots are semantically
+    /// transparent).
     snapshots: SnapshotStore,
     /// Bumped on every interest-profile mutation; the profiles carry no
     /// dirty log of their own, so this version is what stamps snapshots.
@@ -61,7 +56,6 @@ impl SocialContext {
             interactions: InteractionTracker::new(n),
             profiles: vec![InterestProfile::new(InterestSet::new()); n],
             total_interests,
-            cache: SocialCoefficientCache::new(),
             snapshots: SnapshotStore::new(),
             profiles_version: 0,
         }
@@ -89,7 +83,6 @@ impl SocialContext {
             interactions,
             profiles,
             total_interests,
-            cache: SocialCoefficientCache::new(),
             snapshots: SnapshotStore::new(),
             profiles_version: 0,
         }
@@ -123,7 +116,7 @@ impl SocialContext {
 
     /// Mutable access to the interaction tracker (e.g. for bulk-loading a
     /// pre-built tracker in benches and tests). The tracker's dirty log
-    /// keeps the coefficient cache coherent across such edits.
+    /// keeps the snapshot coherent across such edits.
     pub fn interactions_mut(&mut self) -> &mut InteractionTracker {
         &mut self.interactions
     }
@@ -155,49 +148,12 @@ impl SocialContext {
         self.interactions.record(from, to, amount);
     }
 
-    /// Social closeness `Ωc(i,j)` under the given closeness configuration.
-    ///
-    /// Served through the internal [`SocialCoefficientCache`]; equal
-    /// bit-for-bit to a fresh
-    /// [`ClosenessModel`](socialtrust_socnet::closeness::ClosenessModel)
-    /// computation.
-    pub fn closeness(&self, i: NodeId, j: NodeId, config: ClosenessConfig) -> f64 {
-        self.cache
-            .closeness(&self.graph, &self.interactions, config, i, j)
-    }
-
-    /// Cached bulk closeness for many `(rater, ratee)` pairs, computed in
-    /// parallel. Results are in input order.
-    pub fn closeness_for_pairs(
-        &self,
-        pairs: &[(NodeId, NodeId)],
-        config: ClosenessConfig,
-    ) -> Vec<f64> {
-        self.cache
-            .closeness_for_pairs(&self.graph, &self.interactions, config, pairs)
-    }
-
-    /// The internal social-coefficient cache (read access, for diagnostics
-    /// and tests).
-    pub fn coefficient_cache(&self) -> &SocialCoefficientCache {
-        &self.cache
-    }
-
-    /// Cumulative hit/miss/eviction counters of the internal coefficient
-    /// cache, for end-of-run observability (the sim engine reports these
-    /// per run and the bench binaries print them). A point-in-time
-    /// snapshot — diff two with [`CacheStats::delta`] for per-cycle
-    /// readings.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Re-homes the coefficient cache's counters onto `telemetry`'s
-    /// registry (`cache_hits_total` / `cache_misses_total` /
-    /// `cache_evictions_total`) and routes its eviction-storm events to
-    /// the bundle's sink. Idempotent; accumulated counts are preserved.
+    /// Re-homes the snapshot store's counters onto `telemetry`'s registry
+    /// (`snapshot_rebuilds_total` / `snapshot_patches_total`, plus the
+    /// rebuild-latency and bytes-per-node series) and routes its
+    /// `snapshot_rebuild` events to the bundle's sink. Idempotent;
+    /// accumulated counts are preserved.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.cache.attach_telemetry(telemetry);
         self.snapshots.attach_telemetry(telemetry);
     }
 
@@ -220,17 +176,6 @@ impl SocialContext {
     /// performed, for diagnostics and tests.
     pub fn snapshot_stats(&self) -> (u64, u64) {
         self.snapshots.stats()
-    }
-
-    /// Interest similarity `Ωs(i,j)`: request-weighted Eq. (11) when
-    /// `weighted` is set, otherwise the declared-profile overlap Eq. (7).
-    pub fn similarity(&self, i: NodeId, j: NodeId, weighted: bool) -> f64 {
-        let (pi, pj) = (&self.profiles[i.index()], &self.profiles[j.index()]);
-        if weighted {
-            weighted_similarity(pi, pj)
-        } else {
-            similarity(pi.declared(), pj.declared())
-        }
     }
 }
 
@@ -262,18 +207,23 @@ impl SharedSocialContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socialtrust_socnet::closeness::ClosenessModel;
+    use socialtrust_socnet::interest::{similarity, weighted_similarity};
     use socialtrust_socnet::relationship::Relationship;
+
+    /// `Ωc(i,j)` from the live-graph reference model.
+    fn oracle(ctx: &SocialContext, cfg: ClosenessConfig, i: NodeId, j: NodeId) -> f64 {
+        ClosenessModel::new(ctx.graph(), ctx.interactions(), cfg).closeness(i, j)
+    }
 
     #[test]
     fn new_context_is_empty() {
         let ctx = SocialContext::new(3, 20);
         assert_eq!(ctx.node_count(), 3);
         assert_eq!(ctx.total_interests(), 20);
-        assert_eq!(ctx.similarity(NodeId(0), NodeId(1), false), 0.0);
-        assert_eq!(
-            ctx.closeness(NodeId(0), NodeId(1), ClosenessConfig::default()),
-            0.0
-        );
+        let snap = ctx.snapshot(ClosenessConfig::default());
+        assert_eq!(snap.interest_similarity(NodeId(0), NodeId(1), false), 0.0);
+        assert_eq!(snap.closeness(NodeId(0), NodeId(1)), 0.0);
     }
 
     #[test]
@@ -291,8 +241,13 @@ mod tests {
         ctx.graph_mut()
             .add_relationship(NodeId(0), NodeId(1), Relationship::friendship());
         ctx.record_interaction(NodeId(0), NodeId(1), 3.0);
-        let c = ctx.closeness(NodeId(0), NodeId(1), ClosenessConfig::default());
+        let cfg = ClosenessConfig::default();
+        let c = ctx.snapshot(cfg).closeness(NodeId(0), NodeId(1));
         assert!((c - 1.0).abs() < 1e-12, "1 rel · 3/3 interactions = 1");
+        assert_eq!(
+            c.to_bits(),
+            oracle(&ctx, cfg, NodeId(0), NodeId(1)).to_bits()
+        );
     }
 
     #[test]
@@ -304,37 +259,48 @@ mod tests {
         ctx.profile_mut(NodeId(1))
             .declared_mut()
             .insert(InterestId(1));
+        let snap = ctx.snapshot(ClosenessConfig::default());
         // Declared profiles overlap fully…
-        assert_eq!(ctx.similarity(NodeId(0), NodeId(1), false), 1.0);
+        assert_eq!(snap.interest_similarity(NodeId(0), NodeId(1), false), 1.0);
         // …but nobody ever requested category 1, so Eq. (11) sees nothing.
-        assert_eq!(ctx.similarity(NodeId(0), NodeId(1), true), 0.0);
+        assert_eq!(snap.interest_similarity(NodeId(0), NodeId(1), true), 0.0);
+        let (p0, p1) = (ctx.profile(NodeId(0)), ctx.profile(NodeId(1)));
+        assert_eq!(similarity(p0.declared(), p1.declared()), 1.0);
+        assert_eq!(weighted_similarity(p0, p1), 0.0);
     }
 
     #[test]
-    fn cached_closeness_refreshes_after_mutation_through_context() {
+    fn snapshot_closeness_refreshes_after_mutation_through_context() {
         let mut ctx = SocialContext::new(3, 4);
         ctx.graph_mut()
             .add_relationship(NodeId(0), NodeId(1), Relationship::friendship());
         ctx.record_interaction(NodeId(0), NodeId(1), 3.0);
         let cfg = ClosenessConfig::default();
-        assert!((ctx.closeness(NodeId(0), NodeId(1), cfg) - 1.0).abs() < 1e-12);
-        assert!(!ctx.coefficient_cache().is_empty());
-        // Mutating through graph_mut() bumps the graph generation, so the
-        // next query sees m(0,1) = 2.
+        let closeness = |ctx: &SocialContext| {
+            let c = ctx.snapshot(cfg).closeness(NodeId(0), NodeId(1));
+            assert_eq!(
+                c.to_bits(),
+                oracle(ctx, cfg, NodeId(0), NodeId(1)).to_bits()
+            );
+            c
+        };
+        assert!((closeness(&ctx) - 1.0).abs() < 1e-12);
+        // Mutating through graph_mut() bumps the graph epoch, so the next
+        // snapshot sees m(0,1) = 2.
         ctx.graph_mut()
             .add_relationship(NodeId(0), NodeId(1), Relationship::colleague());
-        assert!((ctx.closeness(NodeId(0), NodeId(1), cfg) - 2.0).abs() < 1e-12);
-        // Mutating interactions through record_request also invalidates:
+        assert!((closeness(&ctx) - 2.0).abs() < 1e-12);
+        // Mutating interactions through record_request also refreshes:
         // f(0,2) = 1 with an 0-2 edge shifts the denominator.
         ctx.graph_mut()
             .add_relationship(NodeId(0), NodeId(2), Relationship::friendship());
         ctx.record_request(NodeId(0), NodeId(2), InterestId(1));
-        let c = ctx.closeness(NodeId(0), NodeId(1), cfg);
+        let c = closeness(&ctx);
         assert!((c - 2.0 * 3.0 / 4.0).abs() < 1e-12, "got {c}");
     }
 
     #[test]
-    fn bulk_closeness_matches_singles_and_refreshes() {
+    fn bulk_closeness_matches_oracle_and_refreshes() {
         let mut ctx = SocialContext::new(4, 4);
         ctx.graph_mut()
             .add_relationship(NodeId(0), NodeId(1), Relationship::friendship());
@@ -349,18 +315,18 @@ mod tests {
             (NodeId(1), NodeId(2)),
             (NodeId(0), NodeId(3)),
         ];
-        let bulk = ctx.closeness_for_pairs(&pairs, cfg);
+        let bulk = ctx.snapshot(cfg).closeness_for_pairs(&pairs);
         for (idx, &(i, j)) in pairs.iter().enumerate() {
-            assert_eq!(bulk[idx].to_bits(), ctx.closeness(i, j, cfg).to_bits());
+            assert_eq!(bulk[idx].to_bits(), oracle(&ctx, cfg, i, j).to_bits());
         }
         ctx.record_interaction(NodeId(1), NodeId(0), 1.0);
-        let bulk2 = ctx.closeness_for_pairs(&pairs, cfg);
+        let bulk2 = ctx.snapshot(cfg).closeness_for_pairs(&pairs);
         assert_ne!(
             bulk, bulk2,
             "new interaction must show through the bulk path"
         );
         for (idx, &(i, j)) in pairs.iter().enumerate() {
-            assert_eq!(bulk2[idx].to_bits(), ctx.closeness(i, j, cfg).to_bits());
+            assert_eq!(bulk2[idx].to_bits(), oracle(&ctx, cfg, i, j).to_bits());
         }
     }
 
@@ -374,7 +340,7 @@ mod tests {
         let snap = ctx.snapshot(cfg);
         assert_eq!(
             snap.closeness(NodeId(0), NodeId(1)).to_bits(),
-            ctx.closeness(NodeId(0), NodeId(1), cfg).to_bits()
+            oracle(&ctx, cfg, NodeId(0), NodeId(1)).to_bits()
         );
         // Unchanged context → same Arc.
         assert!(Arc::ptr_eq(&snap, &ctx.snapshot(cfg)));
@@ -383,7 +349,7 @@ mod tests {
         let snap2 = ctx.snapshot(cfg);
         assert_eq!(
             snap2.closeness(NodeId(0), NodeId(1)).to_bits(),
-            ctx.closeness(NodeId(0), NodeId(1), cfg).to_bits()
+            oracle(&ctx, cfg, NodeId(0), NodeId(1)).to_bits()
         );
         assert_eq!(ctx.snapshot_stats(), (1, 1));
         // Profile mutations show up through the similarity kernels.
@@ -398,7 +364,11 @@ mod tests {
             snap3
                 .interest_similarity(NodeId(0), NodeId(1), false)
                 .to_bits(),
-            ctx.similarity(NodeId(0), NodeId(1), false).to_bits()
+            similarity(
+                ctx.profile(NodeId(0)).declared(),
+                ctx.profile(NodeId(1)).declared()
+            )
+            .to_bits()
         );
     }
 

@@ -21,9 +21,7 @@
 //! all read the same frozen CSR view. The snapshot refreshes
 //! incrementally from the graph/tracker dirty logs between cycles, so the
 //! decorator never assumes (or pays for) a full coefficient recompute per
-//! cycle. [`WithSocialTrust::cache_stats`] exposes the coefficient
-//! cache's hit/miss/eviction counters for the remaining point-query
-//! paths, benchmarks, and diagnostics.
+//! cycle.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -147,12 +145,6 @@ impl<R: ReputationSystem> WithSocialTrust<R> {
     /// The detection ledger (read access, for diagnostics and tests).
     pub fn ledger(&self) -> &RatingLedger {
         &self.ledger
-    }
-
-    /// Hit/miss/eviction counters of the social-coefficient cache backing
-    /// this decorator's context.
-    pub fn cache_stats(&self) -> socialtrust_socnet::cache::CacheStats {
-        self.ctx.read().cache_stats()
     }
 }
 
@@ -549,7 +541,7 @@ impl<R: ReputationSystem> ReputationSystem for WithSocialTrust<R> {
 
     /// Instruments every layer this decorator touches: detector trigger
     /// counters and latency, the Gaussian/update span histograms, the
-    /// social context's coefficient cache, and the wrapped engine itself.
+    /// social context's snapshot store, and the wrapped engine itself.
     /// Idempotent — re-attaching to the same bundle replaces handles with
     /// equivalents.
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {

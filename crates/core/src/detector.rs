@@ -126,14 +126,6 @@ pub struct Suspicion {
     pub omega_s: f64,
 }
 
-/// Outcome of the interval-frequency gate for one rater→ratee pair.
-#[derive(Debug, Clone, Copy)]
-struct FrequencyGate {
-    frequent_positive: bool,
-    frequent_negative: bool,
-    back_frequent_positive: bool,
-}
-
 /// The B1–B4 detector.
 #[derive(Debug, Clone, Copy)]
 pub struct Detector {
@@ -164,6 +156,9 @@ impl Detector {
     /// both directions are suspect. This is what catches the
     /// colluder→compromised-pretrusted half of a bribed pair, whose ratee
     /// is (still) high-reputed.
+    ///
+    /// `Ωc`/`Ωs` are read through [`SocialContext::snapshot`], so a pair
+    /// gets the same verdict here as in [`Detector::detect_all`].
     pub fn inspect_pair(
         &self,
         ctx: &SocialContext,
@@ -173,8 +168,8 @@ impl Detector {
         rater_reputation: f64,
         ratee_reputation: f64,
     ) -> Option<Suspicion> {
-        self.inspect_pair_with_mean(
-            ctx,
+        self.inspect(
+            &ctx.snapshot(self.config.closeness),
             ledger,
             rater,
             ratee,
@@ -184,43 +179,14 @@ impl Detector {
         )
     }
 
-    /// [`Detector::inspect_pair`] with the system-wide mean rating
-    /// frequency `F̄` precomputed. `F̄` is a property of the whole interval,
-    /// not of the pair, so [`Detector::detect_all`] computes it once and
-    /// passes it to every pair inspection instead of rescanning the ledger
-    /// per pair.
+    /// [`Detector::inspect_pair`] against a frozen [`GraphSnapshot`] with
+    /// the system-wide mean rating frequency `F̄` precomputed. `F̄` is a
+    /// property of the whole interval, not of the pair, so
+    /// [`Detector::detect_all`] computes it once and passes it, with one
+    /// snapshot, to every pair inspection. The social coefficients are
+    /// only read once the pair passes the rating-frequency gate.
     #[allow(clippy::too_many_arguments)]
-    fn inspect_pair_with_mean(
-        &self,
-        ctx: &SocialContext,
-        ledger: &RatingLedger,
-        rater: NodeId,
-        ratee: NodeId,
-        rater_reputation: f64,
-        ratee_reputation: f64,
-        mean_freq: f64,
-    ) -> Option<Suspicion> {
-        let gate = self.frequency_gate(ledger, rater, ratee, mean_freq)?;
-        let omega_c = ctx.closeness(rater, ratee, self.config.closeness);
-        let omega_s = ctx.similarity(rater, ratee, self.config.weighted_similarity);
-        self.classify(
-            rater,
-            ratee,
-            rater_reputation,
-            ratee_reputation,
-            gate,
-            omega_c,
-            omega_s,
-        )
-    }
-
-    /// [`Detector::inspect_pair_with_mean`] serving `Ωc`/`Ωs` from a frozen
-    /// [`GraphSnapshot`] instead of the live cache. Bit-for-bit identical
-    /// results (the snapshot kernels reproduce the live evaluation order);
-    /// used by [`Detector::detect_all`] so the whole pass reads one
-    /// consistent view with no lock traffic.
-    #[allow(clippy::too_many_arguments)]
-    fn inspect_pair_snapshot(
+    fn inspect(
         &self,
         snapshot: &GraphSnapshot,
         ledger: &RatingLedger,
@@ -230,30 +196,6 @@ impl Detector {
         ratee_reputation: f64,
         mean_freq: f64,
     ) -> Option<Suspicion> {
-        let gate = self.frequency_gate(ledger, rater, ratee, mean_freq)?;
-        let omega_c = snapshot.closeness(rater, ratee);
-        let omega_s = snapshot.interest_similarity(rater, ratee, self.config.weighted_similarity);
-        self.classify(
-            rater,
-            ratee,
-            rater_reputation,
-            ratee_reputation,
-            gate,
-            omega_c,
-            omega_s,
-        )
-    }
-
-    /// The rating-frequency gate shared by both inspection paths: `None`
-    /// when the pair's interval traffic is unremarkable (the social
-    /// coefficients are then never computed).
-    fn frequency_gate(
-        &self,
-        ledger: &RatingLedger,
-        rater: NodeId,
-        ratee: NodeId,
-        mean_freq: f64,
-    ) -> Option<FrequencyGate> {
         let stats = ledger.interval_stats(rater, ratee);
         if stats.count() == 0 {
             return None;
@@ -276,31 +218,9 @@ impl Detector {
         if !frequent_positive && !frequent_negative {
             return None;
         }
-        Some(FrequencyGate {
-            frequent_positive,
-            frequent_negative,
-            back_frequent_positive,
-        })
-    }
 
-    /// B1–B4 classification of a frequency-gated pair from its social
-    /// coefficients.
-    #[allow(clippy::too_many_arguments)]
-    fn classify(
-        &self,
-        rater: NodeId,
-        ratee: NodeId,
-        rater_reputation: f64,
-        ratee_reputation: f64,
-        gate: FrequencyGate,
-        omega_c: f64,
-        omega_s: f64,
-    ) -> Option<Suspicion> {
-        let FrequencyGate {
-            frequent_positive,
-            frequent_negative,
-            back_frequent_positive,
-        } = gate;
+        let omega_c = snapshot.closeness(rater, ratee);
+        let omega_s = snapshot.interest_similarity(rater, ratee, self.config.weighted_similarity);
         let mut reasons = Vec::new();
         if frequent_positive {
             if omega_c < self.config.closeness_low {
@@ -444,7 +364,7 @@ impl Detector {
         let mut out: Vec<Suspicion> = pairs
             .into_par_iter()
             .filter_map(|(rater, ratee)| {
-                self.inspect_pair_snapshot(
+                self.inspect(
                     &snapshot,
                     ledger,
                     rater,

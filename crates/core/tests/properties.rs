@@ -110,11 +110,11 @@ proptest! {
         prop_assert_eq!(guarded.reputations(), plain.reputations());
     }
 
-    /// The context's cached closeness/similarity must agree bit-for-bit
-    /// with direct (uncached) computation, including after mutations that
-    /// invalidate the coefficient cache mid-stream.
+    /// The context's snapshot closeness/similarity must agree bit-for-bit
+    /// with direct computation, including after mutations that refresh the
+    /// snapshot mid-stream.
     #[test]
-    fn context_cache_agrees_with_direct_computation(
+    fn context_snapshot_agrees_with_direct_computation(
         edges in proptest::collection::vec((0u32..8, 0u32..8), 1..20),
         interactions in proptest::collection::vec((0u32..8, 0u32..8, 1u32..10), 1..20),
         extra in (0u32..8, 0u32..8),
@@ -137,15 +137,16 @@ proptest! {
         let config = ClosenessConfig::default();
         let check = |ctx: &SocialContext| -> Result<(), TestCaseError> {
             let model = ClosenessModel::new(ctx.graph(), ctx.interactions(), config);
+            let snap = ctx.snapshot(config);
             for i in 0..8u32 {
                 for j in 0..8u32 {
                     let (a, b) = (NodeId(i), NodeId(j));
                     prop_assert_eq!(
-                        ctx.closeness(a, b, config).to_bits(),
+                        snap.closeness(a, b).to_bits(),
                         model.closeness(a, b).to_bits()
                     );
                     prop_assert_eq!(
-                        ctx.similarity(a, b, false).to_bits(),
+                        snap.interest_similarity(a, b, false).to_bits(),
                         similarity(ctx.profile(a).declared(), ctx.profile(b).declared()).to_bits()
                     );
                 }
@@ -153,7 +154,7 @@ proptest! {
             Ok(())
         };
         check(&ctx)?;
-        // Mutate through the context and re-check: the cache must refresh.
+        // Mutate through the context and re-check: the snapshot must refresh.
         let (a, b) = (NodeId(extra.0), NodeId(extra.1));
         if a != b {
             ctx.graph_mut().add_relationship(a, b, Relationship::kinship());

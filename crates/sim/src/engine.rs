@@ -68,7 +68,7 @@ pub fn run<R: Rng + ?Sized>(
 /// This instruments the *engine loop* only; call
 /// [`ReputationSystem::attach_telemetry`] (and
 /// `SocialContext::attach_telemetry` via the world's shared context)
-/// beforehand to capture the detector/cache/EigenTrust layers — plus the
+/// beforehand to capture the detector/EigenTrust layers — plus the
 /// per-cycle CSR snapshot's `snapshot_rebuilds_total` /
 /// `snapshot_patches_total` / `snapshot_rebuild_seconds` — in the same
 /// bundle — [`crate::runner::run_scenario_with_telemetry`] does all of it.
@@ -106,12 +106,6 @@ pub fn run_with_telemetry<R: Rng + ?Sized>(
     let mut per_cycle_colluder_max = Vec::with_capacity(scenario.sim_cycles);
     let mut per_cycle_normal_mean = Vec::with_capacity(scenario.sim_cycles);
     let mut convergence = Vec::with_capacity(scenario.sim_cycles);
-    let mut per_cycle_cache = Vec::with_capacity(scenario.sim_cycles);
-    // Counter snapshot at run start: the context (and its cache) may be
-    // shared across runs, so everything this run reports is a delta
-    // against this baseline rather than a lifetime total.
-    let run_start_cache = world.ctx.read().cache_stats();
-    let mut cache_prev = run_start_cache;
 
     let mut capacity: Vec<u32> = vec![0; n];
     let mut candidates: Vec<NodeId> = Vec::with_capacity(64);
@@ -248,9 +242,6 @@ pub fn run_with_telemetry<R: Rng + ?Sized>(
         system.end_cycle();
         update_seconds.observe(update_start.elapsed().as_secs_f64());
         convergence.push(system.convergence());
-        let cache_now = world.ctx.read().cache_stats();
-        per_cycle_cache.push(cache_now.delta(cache_prev));
-        cache_prev = cache_now;
         reputations.clear();
         reputations.extend_from_slice(system.reputations());
         per_cycle_colluder_mean.push(mean_over(&reputations, &colluders));
@@ -297,9 +288,7 @@ pub fn run_with_telemetry<R: Rng + ?Sized>(
         requests_to_colluders,
         ratings_adjusted: system.total_adjusted_ratings(),
         suspicions_flagged: system.total_suspicions(),
-        cache: world.ctx.read().cache_stats().delta(run_start_cache),
         convergence,
-        per_cycle_cache,
     }
 }
 

@@ -5,7 +5,6 @@
 
 use serde::{Deserialize, Serialize};
 use socialtrust_reputation::system::ConvergenceRecord;
-use socialtrust_socnet::cache::CacheStats;
 use socialtrust_socnet::NodeId;
 
 /// A snapshot of the global reputation vector.
@@ -69,16 +68,9 @@ pub struct RunResult {
     pub ratings_adjusted: u64,
     /// Cumulative suspicions flagged by SocialTrust (0 for plain systems).
     pub suspicions_flagged: u64,
-    /// Hit/miss/eviction counters of the social-coefficient cache accrued
-    /// *during this run* — a delta against the counters at run start, so a
-    /// context shared across runs never leaks earlier runs' totals here
-    /// (all zero for plain systems, which never consult the cache).
-    pub cache: CacheStats,
     /// How the reputation update converged after each simulation cycle
     /// (`None` entries for non-iterative engines).
     pub convergence: Vec<Option<ConvergenceRecord>>,
-    /// Cache counters accrued in each individual simulation cycle.
-    pub per_cycle_cache: Vec<CacheStats>,
 }
 
 impl RunResult {
@@ -236,13 +228,6 @@ impl MultiRunSummary {
             / nodes.len() as f64
     }
 
-    /// Social-coefficient cache counters summed across runs.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.runs
-            .iter()
-            .fold(CacheStats::default(), |acc, r| acc.merged(r.cache))
-    }
-
     /// Mean and 95% CI of the final EigenTrust iteration count and L1
     /// residual across runs: `((iter_mean, iter_ci), (residual_mean,
     /// residual_ci))`. `None` when no run reported convergence (the
@@ -296,9 +281,7 @@ mod tests {
             requests_to_colluders: 10,
             ratings_adjusted: 0,
             suspicions_flagged: 0,
-            cache: CacheStats::default(),
             convergence: vec![],
-            per_cycle_cache: vec![],
         }
     }
 

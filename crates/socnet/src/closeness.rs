@@ -204,30 +204,6 @@ impl<'a> ClosenessModel<'a> {
             None => 0.0,
         }
     }
-
-    /// Closeness from `i` to every node in `targets`, in order. A thin
-    /// convenience over [`ClosenessModel::closeness`].
-    pub fn closeness_to_all(&self, i: NodeId, targets: &[NodeId]) -> Vec<f64> {
-        targets.iter().map(|&j| self.closeness(i, j)).collect()
-    }
-}
-
-/// Compute closeness for many `(rater, ratee)` pairs in parallel with Rayon.
-///
-/// This is the bulk entry point used by the reputation-update path of the
-/// simulator: each simulation cycle adjusts every suspicious rating, and the
-/// pairs are independent, so the work parallelizes embarrassingly.
-pub fn closeness_for_pairs(
-    graph: &SocialGraph,
-    interactions: &InteractionTracker,
-    config: ClosenessConfig,
-    pairs: &[(NodeId, NodeId)],
-) -> Vec<f64> {
-    use rayon::prelude::*;
-    pairs
-        .par_iter()
-        .map(|&(i, j)| ClosenessModel::new(graph, interactions, config).closeness(i, j))
-        .collect()
 }
 
 #[cfg(test)]
@@ -433,32 +409,5 @@ mod tests {
         let p10 = ClosenessModel::new(&g10, &t, ClosenessConfig::default())
             .adjacent_closeness(NodeId(0), NodeId(1));
         assert!((p10 / p1 - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bulk_pairs_matches_single_calls() {
-        let (g, t) = fixture();
-        let pairs = vec![
-            (NodeId(0), NodeId(1)),
-            (NodeId(0), NodeId(2)),
-            (NodeId(3), NodeId(2)),
-            (NodeId(0), NodeId(4)),
-        ];
-        let bulk = closeness_for_pairs(&g, &t, ClosenessConfig::default(), &pairs);
-        let m = model(&g, &t);
-        for (idx, &(i, j)) in pairs.iter().enumerate() {
-            assert_eq!(bulk[idx], m.closeness(i, j));
-        }
-    }
-
-    #[test]
-    fn closeness_to_all_orders_outputs() {
-        let (g, t) = fixture();
-        let m = model(&g, &t);
-        let targets = [NodeId(1), NodeId(3)];
-        let v = m.closeness_to_all(NodeId(0), &targets);
-        assert_eq!(v.len(), 2);
-        assert!((v[0] - 1.5).abs() < 1e-12);
-        assert!((v[1] - 0.25).abs() < 1e-12);
     }
 }

@@ -1,16 +1,15 @@
-//! Epoch-based per-node dirty tracking for incremental cache invalidation.
+//! Epoch-based per-node dirty tracking for incremental snapshot refresh.
 //!
 //! [`SocialGraph`](crate::graph::SocialGraph) and
 //! [`InteractionTracker`](crate::interaction::InteractionTracker) each embed
 //! a [`DirtyLog`]. Every mutator bumps the log's epoch and records *which*
-//! nodes it touched; consumers such as
-//! [`SocialCoefficientCache`](crate::cache::SocialCoefficientCache) remember
-//! the epoch they last synchronized at and ask the log for
-//! [`changes_since`](DirtyLog::changes_since) that epoch. In the
-//! steady-state regime the paper's Overstock trace exhibits — most edges
-//! quiet each interval — the answer is a small [`DirtyDelta::Sparse`] set,
-//! so the consumer can evict only the affected neighborhood instead of
-//! flushing every memoized coefficient.
+//! nodes it touched; the [`SnapshotStore`](crate::snapshot::SnapshotStore)
+//! remembers the epochs its current snapshot was built at and asks the log
+//! for [`changes_since_ref`](DirtyLog::changes_since_ref) those epochs. In
+//! the steady-state regime the paper's Overstock trace exhibits — most
+//! edges quiet each interval — the answer is a small
+//! [`DirtyDeltaRef::Sparse`] set, so the store repatches only the touched
+//! rows instead of rebuilding the whole CSR.
 //!
 //! The log is an epoch-ordered journal of `(node, last-touched-epoch)`
 //! entries. Re-touching a node tombstones its old slot and appends a fresh
@@ -27,56 +26,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::NodeId;
-
-/// What changed in a mutation source since a consumer's last sync epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DirtyDelta {
-    /// Nothing changed; all memoized state derived from the source is
-    /// still valid.
-    Clean,
-    /// A sparse set of nodes changed. Only state depending on these nodes
-    /// (directly or through their neighborhood) needs recomputation.
-    Sparse {
-        /// Nodes touched by at least one mutation since the sync epoch,
-        /// in unspecified order, without duplicates.
-        nodes: Vec<NodeId>,
-        /// Whether any of those mutations changed graph *structure*
-        /// (edge added or removed). Structural changes can reroute
-        /// shortest paths between arbitrary node pairs, so memoized
-        /// values derived from paths (Eq. (4) fallbacks) cannot be
-        /// salvaged by neighborhood reasoning alone.
-        structural: bool,
-    },
-    /// A whole-state mutation happened (e.g. [`clear`]) — or the consumer
-    /// is lagging behind one. Everything derived from the source must be
-    /// recomputed.
-    ///
-    /// [`clear`]: crate::interaction::InteractionTracker::clear
-    Full,
-}
-
-impl DirtyDelta {
-    /// `true` when nothing changed since the sync epoch.
-    #[inline]
-    pub fn is_clean(&self) -> bool {
-        matches!(self, DirtyDelta::Clean)
-    }
-
-    /// `true` when the delta cannot be applied node-by-node: either a
-    /// whole-state mutation, or a sparse set with the structural flag
-    /// raised. Consumers of path- or structure-derived state (the Eq. (4)
-    /// entries of the coefficient cache, the CSR rows of
-    /// [`crate::snapshot::GraphSnapshot`]) must rebuild from scratch when
-    /// this is set.
-    #[inline]
-    pub fn requires_rebuild(&self) -> bool {
-        match self {
-            DirtyDelta::Clean => false,
-            DirtyDelta::Sparse { structural, .. } => *structural,
-            DirtyDelta::Full => true,
-        }
-    }
-}
 
 /// One journal slot: `node` was last touched at `epoch`. Slots whose node
 /// was touched again later are *tombstones* ([`DirtyEntry::is_tombstone`])
@@ -112,14 +61,13 @@ impl DirtyEntry {
     }
 }
 
-/// A borrowed view of what changed since a consumer's sync epoch: the
-/// zero-copy counterpart of [`DirtyDelta`]. `Sparse` borrows the log's
-/// journal suffix instead of cloning the dirty set, so N consumers (or N
-/// snapshot shards) can each walk their slice of one delta without N
-/// allocations.
+/// A borrowed view of what changed since a consumer's sync epoch.
+/// `Sparse` borrows the log's journal suffix instead of cloning the dirty
+/// set, so N snapshot shards can each walk their slice of one delta
+/// without N allocations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirtyDeltaRef<'a> {
-    /// Nothing changed.
+    /// Nothing changed; everything derived from the source is still valid.
     Clean,
     /// A sparse set of nodes changed; enumerate them (deduplicated) with
     /// [`DirtyDeltaRef::nodes`] or [`DirtyDeltaRef::nodes_in_range`].
@@ -127,10 +75,18 @@ pub enum DirtyDeltaRef<'a> {
         /// The journal suffix written after the sync epoch. May contain
         /// tombstones; the iterator helpers skip them.
         entries: &'a [DirtyEntry],
-        /// See [`DirtyDelta::Sparse::structural`].
+        /// Whether any of those mutations changed graph *structure*
+        /// (edge added or removed). Structural changes can reroute
+        /// shortest paths between arbitrary node pairs, so state derived
+        /// from paths (Eq. (4) fallbacks) cannot be salvaged by
+        /// neighborhood reasoning alone.
         structural: bool,
     },
-    /// Whole-state mutation; everything must be recomputed.
+    /// A whole-state mutation happened (e.g. [`clear`]) — or the consumer
+    /// is lagging behind one. Everything derived from the source must be
+    /// recomputed.
+    ///
+    /// [`clear`]: crate::interaction::InteractionTracker::clear
     Full,
 }
 
@@ -141,7 +97,9 @@ impl<'a> DirtyDeltaRef<'a> {
         matches!(self, DirtyDeltaRef::Clean)
     }
 
-    /// Mirror of [`DirtyDelta::requires_rebuild`].
+    /// `true` when the delta cannot be applied node-by-node: either a
+    /// whole-state mutation, or a sparse set with the structural flag
+    /// raised.
     #[inline]
     pub fn requires_rebuild(&self) -> bool {
         match self {
@@ -167,18 +125,6 @@ impl<'a> DirtyDeltaRef<'a> {
     pub fn nodes_in_range(&self, start: usize, end: usize) -> impl Iterator<Item = NodeId> + 'a {
         self.nodes()
             .filter(move |v| (start..end).contains(&v.index()))
-    }
-
-    /// Materialize into the owning [`DirtyDelta`] (the legacy API shape).
-    pub fn to_delta(&self) -> DirtyDelta {
-        match self {
-            DirtyDeltaRef::Clean => DirtyDelta::Clean,
-            DirtyDeltaRef::Full => DirtyDelta::Full,
-            DirtyDeltaRef::Sparse { structural, .. } => DirtyDelta::Sparse {
-                nodes: self.nodes().collect(),
-                structural: *structural,
-            },
-        }
     }
 }
 
@@ -287,12 +233,6 @@ impl DirtyLog {
         }
     }
 
-    /// Owning variant of [`changes_since_ref`](Self::changes_since_ref),
-    /// kept for consumers that need to hold the delta across mutations.
-    pub fn changes_since(&self, since: u64) -> DirtyDelta {
-        self.changes_since_ref(since).to_delta()
-    }
-
     /// Approximate heap bytes held by the log (journal + slot table).
     pub fn bytes(&self) -> usize {
         self.journal.capacity() * std::mem::size_of::<DirtyEntry>()
@@ -304,16 +244,23 @@ impl DirtyLog {
 mod tests {
     use super::*;
 
-    fn sorted(mut v: Vec<NodeId>) -> Vec<NodeId> {
-        v.sort();
-        v
+    /// The sorted dirty nodes and structural flag of a sparse delta.
+    fn sparse(delta: DirtyDeltaRef<'_>) -> (Vec<NodeId>, bool) {
+        match delta {
+            DirtyDeltaRef::Sparse { structural, .. } => {
+                let mut nodes: Vec<NodeId> = delta.nodes().collect();
+                nodes.sort();
+                (nodes, structural)
+            }
+            other => panic!("expected sparse delta, got {other:?}"),
+        }
     }
 
     #[test]
     fn fresh_log_is_clean() {
         let log = DirtyLog::new();
         assert_eq!(log.epoch(), 0);
-        assert_eq!(log.changes_since(0), DirtyDelta::Clean);
+        assert_eq!(log.changes_since_ref(0), DirtyDeltaRef::Clean);
     }
 
     #[test]
@@ -322,20 +269,15 @@ mod tests {
         log.touch([NodeId(1)]);
         let mid = log.epoch();
         log.touch([NodeId(2), NodeId(3)]);
-        match log.changes_since(0) {
-            DirtyDelta::Sparse { nodes, structural } => {
-                assert_eq!(sorted(nodes), vec![NodeId(1), NodeId(2), NodeId(3)]);
-                assert!(!structural);
-            }
-            other => panic!("expected sparse delta, got {other:?}"),
-        }
-        match log.changes_since(mid) {
-            DirtyDelta::Sparse { nodes, .. } => {
-                assert_eq!(sorted(nodes), vec![NodeId(2), NodeId(3)]);
-            }
-            other => panic!("expected sparse delta, got {other:?}"),
-        }
-        assert_eq!(log.changes_since(log.epoch()), DirtyDelta::Clean);
+        assert_eq!(
+            sparse(log.changes_since_ref(0)),
+            (vec![NodeId(1), NodeId(2), NodeId(3)], false)
+        );
+        assert_eq!(
+            sparse(log.changes_since_ref(mid)).0,
+            vec![NodeId(2), NodeId(3)]
+        );
+        assert_eq!(log.changes_since_ref(log.epoch()), DirtyDeltaRef::Clean);
     }
 
     #[test]
@@ -344,10 +286,7 @@ mod tests {
         for _ in 0..100 {
             log.touch([NodeId(7)]);
         }
-        match log.changes_since(0) {
-            DirtyDelta::Sparse { nodes, .. } => assert_eq!(nodes, vec![NodeId(7)]),
-            other => panic!("expected sparse delta, got {other:?}"),
-        }
+        assert_eq!(sparse(log.changes_since_ref(0)).0, vec![NodeId(7)]);
     }
 
     #[test]
@@ -356,35 +295,33 @@ mod tests {
         log.touch_structural([NodeId(0), NodeId(1)]);
         let after_edge = log.epoch();
         log.touch([NodeId(2)]);
-        match log.changes_since(0) {
-            DirtyDelta::Sparse { structural, .. } => assert!(structural),
-            other => panic!("expected sparse delta, got {other:?}"),
-        }
+        assert!(sparse(log.changes_since_ref(0)).1);
         // A consumer synced after the edge change only sees the
         // interaction-style touch.
-        match log.changes_since(after_edge) {
-            DirtyDelta::Sparse { nodes, structural } => {
-                assert_eq!(nodes, vec![NodeId(2)]);
-                assert!(!structural);
-            }
-            other => panic!("expected sparse delta, got {other:?}"),
-        }
+        assert_eq!(
+            sparse(log.changes_since_ref(after_edge)),
+            (vec![NodeId(2)], false)
+        );
     }
 
     #[test]
     fn delta_classification_helpers() {
-        assert!(DirtyDelta::Clean.is_clean());
-        assert!(!DirtyDelta::Clean.requires_rebuild());
-        assert!(DirtyDelta::Full.requires_rebuild());
-        assert!(!DirtyDelta::Full.is_clean());
-        let sparse = DirtyDelta::Sparse {
-            nodes: vec![NodeId(1)],
+        assert!(DirtyDeltaRef::Clean.is_clean());
+        assert!(!DirtyDeltaRef::Clean.requires_rebuild());
+        assert!(DirtyDeltaRef::Full.requires_rebuild());
+        assert!(!DirtyDeltaRef::Full.is_clean());
+        let entries = [DirtyEntry {
+            node: NodeId(1),
+            epoch: 1,
+        }];
+        let sparse = DirtyDeltaRef::Sparse {
+            entries: &entries,
             structural: false,
         };
         assert!(!sparse.is_clean());
         assert!(!sparse.requires_rebuild());
-        let structural = DirtyDelta::Sparse {
-            nodes: vec![NodeId(1)],
+        let structural = DirtyDeltaRef::Sparse {
+            entries: &entries,
             structural: true,
         };
         assert!(structural.requires_rebuild());
@@ -396,39 +333,33 @@ mod tests {
         log.touch([NodeId(1)]);
         let before_clear = log.epoch();
         log.touch_all();
-        assert_eq!(log.changes_since(before_clear), DirtyDelta::Full);
-        assert_eq!(log.changes_since(0), DirtyDelta::Full);
+        assert_eq!(log.changes_since_ref(before_clear), DirtyDeltaRef::Full);
+        assert_eq!(log.changes_since_ref(0), DirtyDeltaRef::Full);
         // Consumers synced at/after the clear see only later touches.
         let after_clear = log.epoch();
-        assert_eq!(log.changes_since(after_clear), DirtyDelta::Clean);
+        assert_eq!(log.changes_since_ref(after_clear), DirtyDeltaRef::Clean);
         log.touch([NodeId(4)]);
-        match log.changes_since(after_clear) {
-            DirtyDelta::Sparse { nodes, .. } => assert_eq!(nodes, vec![NodeId(4)]),
-            other => panic!("expected sparse delta, got {other:?}"),
-        }
+        assert_eq!(
+            sparse(log.changes_since_ref(after_clear)).0,
+            vec![NodeId(4)]
+        );
     }
 
     #[test]
-    fn borrowed_delta_matches_owning_delta() {
+    fn retouched_node_appears_once_at_newest_epoch() {
         let mut log = DirtyLog::new();
         log.touch([NodeId(3)]);
         let mid = log.epoch();
         log.touch_structural([NodeId(1), NodeId(3)]);
-        for since in [0, mid, log.epoch()] {
-            assert_eq!(
-                log.changes_since_ref(since).to_delta(),
-                log.changes_since(since)
-            );
-        }
-        // Re-touched node 3 appears once, at its newest epoch.
-        match log.changes_since_ref(0) {
-            DirtyDeltaRef::Sparse { structural, .. } => {
-                let nodes = sorted(log.changes_since_ref(0).nodes().collect());
-                assert_eq!(nodes, vec![NodeId(1), NodeId(3)]);
-                assert!(structural);
-            }
-            other => panic!("expected sparse ref, got {other:?}"),
-        }
+        assert_eq!(
+            sparse(log.changes_since_ref(0)),
+            (vec![NodeId(1), NodeId(3)], true)
+        );
+        assert_eq!(
+            sparse(log.changes_since_ref(mid)),
+            (vec![NodeId(1), NodeId(3)], true)
+        );
+        assert_eq!(log.changes_since_ref(log.epoch()), DirtyDeltaRef::Clean);
     }
 
     #[test]
@@ -450,16 +381,11 @@ mod tests {
         for round in 0..500u32 {
             log.touch([NodeId(round % 5)]);
         }
-        match log.changes_since(0) {
-            DirtyDelta::Sparse { nodes, .. } => {
-                assert_eq!(
-                    sorted(nodes),
-                    (0..5).map(NodeId).collect::<Vec<_>>(),
-                    "every node exactly once despite 500 touches"
-                );
-            }
-            other => panic!("expected sparse delta, got {other:?}"),
-        }
+        assert_eq!(
+            sparse(log.changes_since_ref(0)).0,
+            (0..5).map(NodeId).collect::<Vec<_>>(),
+            "every node exactly once despite 500 touches"
+        );
         assert!(
             log.bytes() < 64 * 1024,
             "journal stays bounded by live count"
@@ -475,7 +401,7 @@ mod tests {
         let json = serde_json::to_string(&log).expect("serialize");
         let back: DirtyLog = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back.epoch(), log.epoch());
-        assert_eq!(back.changes_since(mid), log.changes_since(mid));
-        assert_eq!(back.changes_since(0), log.changes_since(0));
+        assert_eq!(back.changes_since_ref(mid), log.changes_since_ref(mid));
+        assert_eq!(back.changes_since_ref(0), log.changes_since_ref(0));
     }
 }

@@ -13,7 +13,7 @@
 //! of flat `Vec`s whose footprint [`SocialGraph::bytes`] can account for
 //! exactly.
 
-use crate::dirty::{DirtyDelta, DirtyDeltaRef, DirtyLog};
+use crate::dirty::{DirtyDeltaRef, DirtyLog};
 use crate::relationship::Relationship;
 use crate::NodeId;
 
@@ -72,33 +72,18 @@ impl SocialGraph {
     /// Mutation epoch: bumped by every change (`add_node`,
     /// `add_relationship`, `remove_edge`). Two calls observing the same
     /// epoch on the same graph are guaranteed to see identical structure,
-    /// which is what [`crate::cache::SocialCoefficientCache`] relies on to
-    /// reuse memoized closeness values.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.dirty.epoch()
-    }
-
-    /// Alias for [`generation`](Self::generation), in the vocabulary of the
-    /// dirty-tracking pipeline.
+    /// which is what lets a [`crate::snapshot::GraphSnapshot`] stamped with
+    /// it be reused.
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.dirty.epoch()
     }
 
-    /// Which nodes were touched by mutations after epoch `since` (see
-    /// [`DirtyLog::changes_since`]). Edge mutations dirty both endpoints
-    /// and carry the `structural` flag; `add_node` dirties only the new
-    /// (isolated) node, since it cannot affect any existing path or
-    /// neighborhood.
-    #[inline]
-    pub fn changes_since(&self, since: u64) -> DirtyDelta {
-        self.dirty.changes_since(since)
-    }
-
-    /// Borrowed, zero-copy variant of
-    /// [`changes_since`](Self::changes_since); see
-    /// [`DirtyLog::changes_since_ref`].
+    /// Which nodes were touched by mutations after epoch `since`, as a
+    /// borrowed view of the dirty log (see [`DirtyLog::changes_since_ref`]).
+    /// Edge mutations dirty both endpoints and carry the `structural` flag;
+    /// `add_node` dirties only the new (isolated) node, since it cannot
+    /// affect any existing path or neighborhood.
     #[inline]
     pub fn changes_since_ref(&self, since: u64) -> DirtyDeltaRef<'_> {
         self.dirty.changes_since_ref(since)
@@ -452,58 +437,65 @@ mod tests {
     }
 
     #[test]
-    fn generation_tracks_every_mutation() {
+    fn epoch_tracks_every_mutation() {
         let mut g = SocialGraph::new(2);
-        assert_eq!(g.generation(), 0);
+        assert_eq!(g.epoch(), 0);
         g.add_relationship(NodeId(0), NodeId(1), Relationship::friendship());
-        let after_add = g.generation();
+        let after_add = g.epoch();
         assert!(after_add > 0);
         // Queries never bump.
         let _ = g.are_adjacent(NodeId(0), NodeId(1));
         let _ = g.common_friends(NodeId(0), NodeId(1));
-        assert_eq!(g.generation(), after_add);
+        assert_eq!(g.epoch(), after_add);
         // Adding a second relationship to the same edge still bumps.
         g.add_relationship(NodeId(0), NodeId(1), Relationship::colleague());
-        assert!(g.generation() > after_add);
-        let before_remove = g.generation();
+        assert!(g.epoch() > after_add);
+        let before_remove = g.epoch();
         g.remove_edge(NodeId(0), NodeId(1));
-        assert!(g.generation() > before_remove);
+        assert!(g.epoch() > before_remove);
         // No-op removal does not bump.
-        let after_remove = g.generation();
+        let after_remove = g.epoch();
         g.remove_edge(NodeId(0), NodeId(1));
-        assert_eq!(g.generation(), after_remove);
-        let before_node = g.generation();
+        assert_eq!(g.epoch(), after_remove);
+        let before_node = g.epoch();
         g.add_node();
-        assert!(g.generation() > before_node);
+        assert!(g.epoch() > before_node);
     }
 
     #[test]
     fn dirty_set_names_touched_endpoints() {
-        use crate::dirty::DirtyDelta;
         let mut g = SocialGraph::new(4);
         let e0 = g.epoch();
         g.add_relationship(NodeId(0), NodeId(1), Relationship::friendship());
-        match g.changes_since(e0) {
-            DirtyDelta::Sparse {
-                mut nodes,
-                structural,
-            } => {
-                nodes.sort();
-                assert_eq!(nodes, vec![NodeId(0), NodeId(1)]);
-                assert!(structural);
-            }
-            other => panic!("expected sparse delta, got {other:?}"),
-        }
+        let delta = g.changes_since_ref(e0);
+        let mut nodes: Vec<NodeId> = delta.nodes().collect();
+        nodes.sort();
+        assert_eq!(nodes, vec![NodeId(0), NodeId(1)]);
+        assert!(
+            matches!(
+                delta,
+                DirtyDeltaRef::Sparse {
+                    structural: true,
+                    ..
+                }
+            ),
+            "edge add is structural"
+        );
         let e1 = g.epoch();
         let v = g.add_node();
-        match g.changes_since(e1) {
-            DirtyDelta::Sparse { nodes, structural } => {
-                assert_eq!(nodes, vec![v]);
-                assert!(!structural, "isolated node add is not structural");
-            }
-            other => panic!("expected sparse delta, got {other:?}"),
-        }
-        assert_eq!(g.changes_since(g.epoch()), DirtyDelta::Clean);
+        let delta = g.changes_since_ref(e1);
+        assert_eq!(delta.nodes().collect::<Vec<_>>(), vec![v]);
+        assert!(
+            matches!(
+                delta,
+                DirtyDeltaRef::Sparse {
+                    structural: false,
+                    ..
+                }
+            ),
+            "isolated node add is not structural"
+        );
+        assert_eq!(g.changes_since_ref(g.epoch()), DirtyDeltaRef::Clean);
     }
 
     #[test]

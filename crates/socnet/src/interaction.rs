@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::dirty::{DirtyDelta, DirtyDeltaRef, DirtyLog};
+use crate::dirty::{DirtyDeltaRef, DirtyLog};
 use crate::NodeId;
 
 /// One node's outgoing frequencies: `ids` sorted ascending, `vals`
@@ -57,7 +57,7 @@ pub struct InteractionTracker {
     rows: Vec<SparseRow>,
     /// `totals[i] = Σ_k f(i, k)` (kept incrementally to avoid rescans).
     totals: Vec<f64>,
-    /// Epoch + per-node dirty log (see [`InteractionTracker::generation`]).
+    /// Epoch + per-node dirty log (see [`InteractionTracker::epoch`]).
     /// Serialized along with the frequencies, so a roundtripped tracker
     /// keeps its epoch history.
     dirty: DirtyLog,
@@ -81,34 +81,19 @@ impl InteractionTracker {
 
     /// Mutation epoch: bumped by every state change (`record`, `clear`,
     /// a growing `ensure_nodes`). Two calls observing the same epoch
-    /// on the same tracker see identical frequencies; the closeness cache
-    /// ([`crate::cache::SocialCoefficientCache`]) keys its memoized
-    /// values on this.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.dirty.epoch()
-    }
-
-    /// Alias for [`generation`](Self::generation), in the vocabulary of the
-    /// dirty-tracking pipeline.
+    /// on the same tracker see identical frequencies; snapshots
+    /// ([`crate::snapshot::GraphSnapshot`]) are stamped with it.
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.dirty.epoch()
     }
 
     /// Which nodes had their outgoing frequencies changed after epoch
-    /// `since`. `record(from, to, _)` dirties only `from`: the closeness
-    /// equations consume interaction data exclusively through `f(from, ·)`
-    /// and `Σ_k f(from, k)`, both keyed by the initiating node. `clear`
-    /// reports [`DirtyDelta::Full`].
-    #[inline]
-    pub fn changes_since(&self, since: u64) -> DirtyDelta {
-        self.dirty.changes_since(since)
-    }
-
-    /// Borrowed, zero-copy variant of
-    /// [`changes_since`](Self::changes_since); see
-    /// [`DirtyLog::changes_since_ref`].
+    /// `since`, as a borrowed view of the dirty log (see
+    /// [`DirtyLog::changes_since_ref`]). `record(from, to, _)` dirties
+    /// only `from`: the closeness equations consume interaction data
+    /// exclusively through `f(from, ·)` and `Σ_k f(from, k)`, both keyed
+    /// by the initiating node. `clear` reports [`DirtyDeltaRef::Full`].
     #[inline]
     pub fn changes_since_ref(&self, since: u64) -> DirtyDeltaRef<'_> {
         self.dirty.changes_since_ref(since)
@@ -289,43 +274,44 @@ mod tests {
     }
 
     #[test]
-    fn generation_tracks_every_mutation() {
+    fn epoch_tracks_every_mutation() {
         let mut t = InteractionTracker::new(2);
-        assert_eq!(t.generation(), 0);
+        assert_eq!(t.epoch(), 0);
         t.record(NodeId(0), NodeId(1), 1.0);
-        let after_record = t.generation();
+        let after_record = t.epoch();
         assert!(after_record > 0);
         // Queries never bump.
         let _ = t.frequency(NodeId(0), NodeId(1));
         let _ = t.total_outgoing(NodeId(0));
-        assert_eq!(t.generation(), after_record);
+        assert_eq!(t.epoch(), after_record);
         t.clear();
-        assert!(t.generation() > after_record);
-        let before_grow = t.generation();
+        assert!(t.epoch() > after_record);
+        let before_grow = t.epoch();
         t.ensure_nodes(5);
-        assert!(t.generation() > before_grow);
+        assert!(t.epoch() > before_grow);
         // Non-growing ensure_nodes is a no-op.
-        let after_grow = t.generation();
+        let after_grow = t.epoch();
         t.ensure_nodes(3);
-        assert_eq!(t.generation(), after_grow);
+        assert_eq!(t.epoch(), after_grow);
     }
 
     #[test]
     fn dirty_set_names_the_rater_only() {
-        use crate::dirty::DirtyDelta;
         let mut t = InteractionTracker::new(3);
         let e0 = t.epoch();
         t.record(NodeId(0), NodeId(1), 1.0);
-        match t.changes_since(e0) {
-            DirtyDelta::Sparse { nodes, structural } => {
-                assert_eq!(nodes, vec![NodeId(0)]);
-                assert!(!structural);
+        let delta = t.changes_since_ref(e0);
+        assert_eq!(delta.nodes().collect::<Vec<_>>(), vec![NodeId(0)]);
+        assert!(matches!(
+            delta,
+            DirtyDeltaRef::Sparse {
+                structural: false,
+                ..
             }
-            other => panic!("expected sparse delta, got {other:?}"),
-        }
+        ));
         t.clear();
-        assert_eq!(t.changes_since(e0), DirtyDelta::Full);
-        assert_eq!(t.changes_since(t.epoch()), DirtyDelta::Clean);
+        assert_eq!(t.changes_since_ref(e0), DirtyDeltaRef::Full);
+        assert_eq!(t.changes_since_ref(t.epoch()), DirtyDeltaRef::Clean);
     }
 
     #[test]

@@ -14,19 +14,17 @@
 //!   `f(i,j)` (resource requests between peers).
 //! * [`closeness::ClosenessModel`] — social closeness `Ωc(i,j)` implementing
 //!   the paper's Equations (2), (3), (4) and the falsification-resilient
-//!   weighted variant, Equation (10).
-//! * [`cache::SocialCoefficientCache`] — epoch-validated, incrementally
-//!   invalidated memoization of the closeness building blocks, so repeat
-//!   queries on an unchanged graph are O(1) and sparse mutations only
-//!   evict the touched neighborhood.
+//!   weighted variant, Equation (10), straight from the live graph. It is
+//!   the reference the snapshot kernels are tested against.
 //! * [`dirty`] — the epoch + per-node dirty-set log that mutation sources
-//!   embed so caches can invalidate incrementally.
+//!   embed so snapshots can refresh incrementally.
 //! * [`interest`] — interest sets and interest similarity `Ωs(i,j)`
 //!   (Equations (1)/(7)) plus the request-weighted variant, Equation (11).
 //! * [`snapshot::GraphSnapshot`] — an immutable, epoch-stamped CSR view of
 //!   graph + interactions + interest profiles with batched single-source
 //!   closeness kernels and bitset similarity, refreshed incrementally by
-//!   [`snapshot::SnapshotStore`] for the read-dominated per-cycle sweeps.
+//!   [`snapshot::SnapshotStore`]. It is the one path production reads
+//!   `Ωc` and `Ωs` through.
 //! * [`builder`] — random social-network generators used by the simulator
 //!   and the trace substrate.
 //!
@@ -58,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod cache;
 pub mod closeness;
 pub mod community;
 pub mod dirty;
@@ -109,7 +106,6 @@ impl std::fmt::Display for NodeId {
 
 /// Convenience re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::cache::{CacheStats, SocialCoefficientCache};
     pub use crate::closeness::{ClosenessConfig, ClosenessModel};
     pub use crate::distance;
     pub use crate::graph::SocialGraph;

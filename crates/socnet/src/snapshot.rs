@@ -982,8 +982,9 @@ impl GraphSnapshot {
         numerator / u32::min(la, lb) as f64
     }
 
-    /// Interest similarity in either mode, mirroring the live
-    /// `SocialContext::similarity` dispatch.
+    /// Interest similarity in either mode: Eq. (11)
+    /// ([`GraphSnapshot::weighted_similarity`]) when `weighted` is set,
+    /// otherwise Eq. (7) ([`GraphSnapshot::similarity`]).
     pub fn interest_similarity(&self, i: NodeId, j: NodeId, weighted: bool) -> f64 {
         if weighted {
             self.weighted_similarity(i, j)
@@ -1087,10 +1088,9 @@ impl Default for SnapshotStore {
     }
 }
 
-/// Cloning a store yields an **empty** store with the same shard policy
-/// (same rationale as the coefficient cache: the clone may be paired with
-/// a diverging copy of the graph, and snapshots are semantically
-/// transparent).
+/// Cloning a store yields an **empty** store with the same shard policy:
+/// the clone may be paired with a diverging copy of the graph, and
+/// snapshots are semantically transparent.
 impl Clone for SnapshotStore {
     fn clone(&self) -> Self {
         SnapshotStore {

@@ -5,8 +5,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use socialtrust_socnet::builder::{connected_random_graph, random_interests};
-use socialtrust_socnet::cache::SocialCoefficientCache;
-use socialtrust_socnet::closeness::{closeness_for_pairs, ClosenessConfig, ClosenessModel};
+use socialtrust_socnet::closeness::{ClosenessConfig, ClosenessModel};
 use socialtrust_socnet::distance::{bfs_distance, distances_from};
 use socialtrust_socnet::interaction::InteractionTracker;
 use socialtrust_socnet::interest::{
@@ -188,178 +187,22 @@ proptest! {
         prop_assert!(d.iter().all(|x| x.is_some()));
     }
 
-    #[test]
-    fn cached_closeness_matches_uncached_bit_for_bit(
-        seed in 0u64..300,
-        n in 2usize..25,
-        weighted in proptest::bool::ANY,
-    ) {
-        let (g, t) = env(seed, n);
-        let config = if weighted {
-            ClosenessConfig::weighted(0.8)
-        } else {
-            ClosenessConfig::default()
-        };
-        let model = ClosenessModel::new(&g, &t, config);
-        let cache = SocialCoefficientCache::new();
-        let k = n.min(6);
-        for i in 0..k {
-            for j in 0..k {
-                let (a, b) = (NodeId::from(i), NodeId::from(j));
-                // Query twice: the first may compute, the second must hit the
-                // memo — both must equal the uncached model exactly.
-                let fresh = model.closeness(a, b);
-                prop_assert_eq!(cache.closeness(&g, &t, config, a, b).to_bits(), fresh.to_bits());
-                prop_assert_eq!(cache.closeness(&g, &t, config, a, b).to_bits(), fresh.to_bits());
-                if g.are_adjacent(a, b) {
-                    prop_assert_eq!(
-                        cache.adjacent_closeness(&g, &t, config, a, b).to_bits(),
-                        model.adjacent_closeness(a, b).to_bits()
-                    );
-                }
-            }
-        }
-        // The bulk path must agree with the uncached bulk path too.
-        let pairs: Vec<(NodeId, NodeId)> = (0..k)
-            .flat_map(|i| (0..k).map(move |j| (NodeId::from(i), NodeId::from(j))))
-            .collect();
-        let cached = cache.closeness_for_pairs(&g, &t, config, &pairs);
-        let uncached = closeness_for_pairs(&g, &t, config, &pairs);
-        for (c, u) in cached.iter().zip(&uncached) {
-            prop_assert_eq!(c.to_bits(), u.to_bits());
-        }
-    }
-
-    #[test]
-    fn cached_closeness_tracks_random_mutation_sequences(
-        seed in 0u64..200,
-        n in 3usize..20,
-        ops in proptest::collection::vec((0u8..4, 0u64..u64::MAX), 1..20),
-    ) {
-        let (mut g, mut t) = env(seed, n);
-        let config = ClosenessConfig::default();
-        let cache = SocialCoefficientCache::new();
-        let check = |g: &socialtrust_socnet::graph::SocialGraph,
-                     t: &InteractionTracker|
-         -> Result<(), TestCaseError> {
-            let model = ClosenessModel::new(g, t, config);
-            for i in 0..n.min(5) {
-                for j in 0..n.min(5) {
-                    let (a, b) = (NodeId::from(i), NodeId::from(j));
-                    prop_assert_eq!(
-                        cache.closeness(g, t, config, a, b).to_bits(),
-                        model.closeness(a, b).to_bits()
-                    );
-                }
-            }
-            Ok(())
-        };
-        check(&g, &t)?;
-        for (op, raw) in ops {
-            let a = NodeId::from((raw % n as u64) as usize);
-            let b = NodeId::from(((raw / n as u64) % n as u64) as usize);
-            match op {
-                0 => {
-                    if a != b {
-                        g.add_relationship(a, b, Relationship::friendship());
-                    }
-                }
-                1 => {
-                    g.remove_edge(a, b);
-                }
-                2 => {
-                    if a != b {
-                        t.record(a, b, (raw % 9 + 1) as f64);
-                    }
-                }
-                _ => {
-                    t.clear();
-                }
-            }
-            // After every mutation the cache must transparently refresh.
-            check(&g, &t)?;
-        }
-    }
-
-    /// The incremental-invalidation stress test: interleave *sparse*
-    /// mutations with queries of single pairs, so most memoized entries sit
-    /// unqueried across many dirty-set drains. Any entry the targeted
-    /// eviction wrongly retains will be caught stale by the final
-    /// full-pair sweep against a fresh `ClosenessModel`.
-    #[test]
-    fn incremental_cache_matches_fresh_model_under_sparse_interleaving(
-        seed in 0u64..200,
-        n in 4usize..24,
-        weighted in proptest::bool::ANY,
-        script in proptest::collection::vec((0u8..6, 0u64..u64::MAX), 1..40),
-    ) {
-        let (mut g, mut t) = env(seed, n);
-        let config = if weighted {
-            ClosenessConfig::weighted(0.8)
-        } else {
-            ClosenessConfig::default()
-        };
-        let cache = SocialCoefficientCache::new();
-        for (op, raw) in script {
-            let a = NodeId::from((raw % n as u64) as usize);
-            let b = NodeId::from(((raw / n as u64) % n as u64) as usize);
-            match op {
-                0 if a != b => {
-                    g.add_relationship(a, b, Relationship::friendship());
-                }
-                1 => {
-                    g.remove_edge(a, b);
-                }
-                2 | 3 if a != b => {
-                    t.record(a, b, (raw % 7 + 1) as f64);
-                }
-                // 4 and 5 are pure query steps: no mutation at all.
-                _ => {}
-            }
-            // Query only this step's pair; everything else stays memoized
-            // (or gets evicted) without being observed.
-            let model = ClosenessModel::new(&g, &t, config);
-            prop_assert_eq!(
-                cache.closeness(&g, &t, config, a, b).to_bits(),
-                model.closeness(a, b).to_bits()
-            );
-            prop_assert_eq!(
-                cache.closeness(&g, &t, config, b, a).to_bits(),
-                model.closeness(b, a).to_bits()
-            );
-        }
-        // Final sweep: every pair — including ones last memoized many
-        // mutations ago — must agree bit-for-bit with a fresh model.
-        let model = ClosenessModel::new(&g, &t, config);
-        for i in 0..n {
-            for j in 0..n {
-                let (a, b) = (NodeId::from(i), NodeId::from(j));
-                prop_assert_eq!(
-                    cache.closeness(&g, &t, config, a, b).to_bits(),
-                    model.closeness(a, b).to_bits(),
-                    "stale entry for ({}, {})", a, b
-                );
-            }
-        }
-        let stats = cache.stats();
-        prop_assert!(stats.hits + stats.misses > 0);
-    }
-
-    /// The CSR-snapshot analogue of the incremental-cache stress test:
-    /// interleave graph/interaction/profile mutations with epoch-validated
-    /// snapshot refreshes, and require every snapshot kernel — closeness
-    /// (both directions), plain and weighted interest similarity, the
-    /// batched single-source sweep, and the grouped pair kernel — to agree
+    /// The snapshot-vs-oracle stress test: interleave
+    /// graph/interaction/profile mutations with epoch-validated snapshot
+    /// refreshes, and require every snapshot kernel — closeness (both
+    /// directions), plain and weighted interest similarity, the batched
+    /// single-source sweep, and the grouped pair kernel — to agree
     /// **bit-for-bit** with the live `ClosenessModel` / `interest` path at
     /// every step. Sparse interaction dirt exercises the row-patch path;
-    /// edge mutations exercise the structural full rebuild; profile edits
-    /// exercise the interest-table repatch.
+    /// edge mutations exercise the structural full rebuild; tracker clears
+    /// exercise the whole-state (`DirtyDeltaRef::Full`) rebuild; profile
+    /// edits exercise the interest-table repatch.
     #[test]
     fn snapshot_matches_live_path_under_mutation_interleaving(
         seed in 0u64..200,
         n in 4usize..24,
         weighted in proptest::bool::ANY,
-        script in proptest::collection::vec((0u8..8, 0u64..u64::MAX), 1..40),
+        script in proptest::collection::vec((0u8..9, 0u64..u64::MAX), 1..40),
     ) {
         let (mut g, mut t) = env(seed, n);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
@@ -401,6 +244,9 @@ proptest! {
                         declared.remove(cat);
                     }
                     pv += 1;
+                }
+                8 => {
+                    t.clear();
                 }
                 // 6 and 7 are pure query steps: no mutation at all.
                 _ => {}

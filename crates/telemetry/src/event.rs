@@ -2,8 +2,8 @@
 //! [`EventSink`] they flow into.
 //!
 //! Events are the low-frequency, high-information complement to the
-//! registry's aggregates: one record per detection verdict, eviction
-//! storm, or EigenTrust convergence, each rendered as a single JSON line
+//! registry's aggregates: one record per detection verdict, snapshot
+//! rebuild, or EigenTrust convergence, each rendered as a single JSON line
 //! (`{"event": "...", ...}`).
 //!
 //! The vendored serde derive cannot handle data-carrying enum variants, so
@@ -36,14 +36,6 @@ pub enum Event {
         /// Interest similarity Ωs at detection time.
         omega_s: f64,
     },
-    /// The coefficient cache dropped a large batch of entries at once.
-    EvictionStorm {
-        /// Number of entries dropped in the batch.
-        evicted: u64,
-        /// Whether this was a full flush (structural/global invalidation)
-        /// rather than a dirty-neighborhood eviction.
-        full_flush: bool,
-    },
     /// One EigenTrust power-iteration run completed.
     EigenTrustConvergence {
         /// Update cycle (0-based, counted per system instance).
@@ -71,7 +63,6 @@ impl Event {
     pub fn kind(&self) -> &'static str {
         match self {
             Event::DetectionVerdict { .. } => "detection_verdict",
-            Event::EvictionStorm { .. } => "eviction_storm",
             Event::EigenTrustConvergence { .. } => "eigentrust_convergence",
             Event::SnapshotRebuild { .. } => "snapshot_rebuild",
         }
@@ -100,13 +91,6 @@ impl Serialize for Event {
                 ));
                 fields.push(("omega_c".into(), Value::F64(*omega_c)));
                 fields.push(("omega_s".into(), Value::F64(*omega_s)));
-            }
-            Event::EvictionStorm {
-                evicted,
-                full_flush,
-            } => {
-                fields.push(("evicted".into(), Value::U64(*evicted)));
-                fields.push(("full_flush".into(), Value::Bool(*full_flush)));
             }
             Event::EigenTrustConvergence {
                 cycle,
@@ -179,10 +163,6 @@ impl Deserialize for Event {
                     omega_s: f64_field(value, "omega_s")?,
                 })
             }
-            "eviction_storm" => Ok(Event::EvictionStorm {
-                evicted: u64_field(value, "evicted")?,
-                full_flush: bool_field(value, "full_flush")?,
-            }),
             "eigentrust_convergence" => Ok(Event::EigenTrustConvergence {
                 cycle: u64_field(value, "cycle")?,
                 iterations: u64_field(value, "iterations")?,
@@ -360,10 +340,6 @@ mod tests {
                 omega_c: 0.0,
                 omega_s: 0.125,
             },
-            Event::EvictionStorm {
-                evicted: 4096,
-                full_flush: true,
-            },
             Event::EigenTrustConvergence {
                 cycle: 3,
                 iterations: 12,
@@ -411,10 +387,7 @@ mod tests {
     fn disabled_sink_drops_everything() {
         let sink = EventSink::disabled();
         assert!(!sink.is_enabled());
-        sink.emit(Event::EvictionStorm {
-            evicted: 1,
-            full_flush: false,
-        });
+        sink.emit(Event::SnapshotRebuild { dirty_nodes: 1 });
         assert!(sink.events().is_empty());
     }
 

@@ -650,10 +650,9 @@ mod tests {
             .registry()
             .counter("detector_suspicions_total")
             .add(2);
-        telemetry.sink().emit(crate::Event::EvictionStorm {
-            evicted: 100,
-            full_flush: false,
-        });
+        telemetry
+            .sink()
+            .emit(crate::Event::SnapshotRebuild { dirty_nodes: 100 });
         let export = MetricsExport::collect(&telemetry);
         let text = export.to_json();
         let back: MetricsExport = serde_json::from_str(&text).unwrap();

@@ -27,14 +27,14 @@
 //! use socialtrust_telemetry::{Event, EventSink, Span, Telemetry};
 //!
 //! let telemetry = Telemetry::with_sink(EventSink::in_memory());
-//! telemetry.registry().counter("cache_hits_total").inc();
+//! telemetry.registry().counter("snapshot_patches_total").inc();
 //! {
 //!     let _span = Span::enter(telemetry.registry(), "detect_all");
 //! }
-//! telemetry.sink().emit(Event::EvictionStorm { evicted: 64, full_flush: false });
+//! telemetry.sink().emit(Event::SnapshotRebuild { dirty_nodes: 64 });
 //!
 //! let snap = telemetry.registry().snapshot();
-//! assert_eq!(snap.counter("cache_hits_total"), 1);
+//! assert_eq!(snap.counter("snapshot_patches_total"), 1);
 //! assert_eq!(snap.histogram("detect_all_seconds").unwrap().count, 1);
 //! assert_eq!(telemetry.sink().events().len(), 1);
 //! ```

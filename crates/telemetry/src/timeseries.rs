@@ -30,13 +30,13 @@
 //! use socialtrust_telemetry::{timeseries::{FlightRecorder, RecorderConfig}, Registry};
 //!
 //! let registry = Registry::new();
-//! let hits = registry.counter("cache_hits_total");
+//! let patches = registry.counter("snapshot_patches_total");
 //! let recorder = FlightRecorder::new(registry, RecorderConfig::default());
 //! recorder.sample();
-//! hits.add(10);
+//! patches.add(10);
 //! recorder.sample();
 //! let window = recorder.window_json(usize::MAX);
-//! assert!(window.contains("\"cache_hits_total\""));
+//! assert!(window.contains("\"snapshot_patches_total\""));
 //! assert!(window.contains("rate_per_second"));
 //! ```
 

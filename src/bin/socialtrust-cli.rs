@@ -593,7 +593,8 @@ mod tests {
         socialtrust::telemetry::validate_exposition(&prometheus).unwrap();
         for family in [
             "detector_b1_triggers_total",
-            "cache_hits_total",
+            "snapshot_rebuilds_total",
+            "snapshot_patches_total",
             "eigentrust_iterations",
             "sim_cycle_seconds",
         ] {

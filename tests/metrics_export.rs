@@ -9,8 +9,7 @@ use socialtrust::telemetry::{validate_exposition, Event};
 
 /// Every metric family the export must contain, per the observability
 /// contract: B1–B4 trigger counters, the three latency histograms, the
-/// cache counters, the CSR-snapshot refresh counters, and the EigenTrust
-/// convergence gauges.
+/// CSR-snapshot refresh counters, and the EigenTrust convergence gauges.
 const REQUIRED_FAMILIES: &[&str] = &[
     "detector_b1_triggers_total",
     "detector_b2_triggers_total",
@@ -21,9 +20,6 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "gaussian_weight_seconds",
     "reputation_update_seconds",
     "decorator_rescaled_ratings_total",
-    "cache_hits_total",
-    "cache_misses_total",
-    "cache_evictions_total",
     "snapshot_rebuilds_total",
     "snapshot_patches_total",
     "snapshot_rebuild_seconds",
@@ -142,8 +138,7 @@ fn instrumented_run_exports_all_contract_metric_families() {
 }
 
 /// A structural graph flush must surface as a `snapshot_rebuild` event
-/// carrying the dirty-node count, alongside the rebuild counter bump —
-/// the snapshot analogue of the cache's eviction-storm event.
+/// carrying the dirty-node count, alongside the rebuild counter bump.
 #[test]
 fn structural_flush_emits_snapshot_rebuild_event() {
     let telemetry = Telemetry::with_sink(EventSink::in_memory());
