@@ -38,6 +38,13 @@
 //!    `recorder_overhead_{n}_percent` is the relative cost of the
 //!    recorder on the query plane (the PR-10 acceptance bound is < 5%).
 //!
+//! 6. `replay_{n}_seconds`: wall time of `start()` with `replay: true`
+//!    over cell 1's log, best of `REPLAY_ROUNDS` starts (the last one is
+//!    cell 5's recorder-off daemon). Each start reads, parses and applies
+//!    the whole batch (≈0.6 MB at 10k nodes, ≈6 MB at 100k) and ticks
+//!    once before it binds, so restart cost must stay linear in backlog
+//!    bytes.
+//!
 //! Results land in `BENCH_server.json` (override with `BENCH_SERVER_OUT`);
 //! `_seconds` keys are gated by `scripts/bench_diff.sh`. `--test` is
 //! accepted for CLI uniformity; CI smoke shrinks via `SERVER_SIZES=10000`.
@@ -58,6 +65,8 @@ const CONC_QUERIES: usize = 8000;
 const OVERHEAD_QUERIES: usize = 20_000;
 const OVERHEAD_WARMUP: usize = 2_000;
 const OVERHEAD_ROUNDS: usize = 3;
+/// Cell 6 reports the fastest of this many replaying starts.
+const REPLAY_ROUNDS: usize = 3;
 
 /// Deterministic event batch: a ring of friendships, sparse interest
 /// profiles, and five ratings per sampled rater.
@@ -218,6 +227,7 @@ struct SizeReport {
     query_c16: f64,
     query_rec: f64,
     query_norec: f64,
+    replay: f64,
 }
 
 /// The recorder-overhead measurement loop: one keep-alive connection,
@@ -351,9 +361,9 @@ fn bench_size(n: usize) -> SizeReport {
     handle.shutdown();
 
     //    ... and against a second daemon over the same log (warmed via
-    //    replay) with an hour-long sampling interval, so the delta
-    //    isolates the flight recorder.
-    let norec = start(ServerConfig {
+    //    replay, which cell 6 times) with an hour-long sampling interval,
+    //    so the delta isolates the flight recorder.
+    let norec_config = ServerConfig {
         log_path: log_path.clone(),
         listen: "127.0.0.1:0".to_owned(),
         service: ServiceConfig {
@@ -367,8 +377,17 @@ fn bench_size(n: usize) -> SizeReport {
         replay: true,
         record_interval: Duration::from_secs(3600),
         ..ServerConfig::default()
-    })
-    .expect("recorder-off bench server boots");
+    };
+    let mut replay = f64::INFINITY;
+    for _ in 1..REPLAY_ROUNDS {
+        let started = Instant::now();
+        let daemon = start(norec_config.clone()).expect("replaying bench server boots");
+        replay = replay.min(started.elapsed().as_secs_f64());
+        daemon.shutdown();
+    }
+    let started = Instant::now();
+    let norec = start(norec_config).expect("recorder-off bench server boots");
+    let replay = replay.min(started.elapsed().as_secs_f64());
     let mut client = KeepAliveClient::connect(norec.addr());
     let probe = client.get("/score/0");
     assert!(probe.contains("\"score\":"), "norec probe: {probe}");
@@ -380,7 +399,8 @@ fn bench_size(n: usize) -> SizeReport {
         "[server {n}] ingest {ingest:.4}s ({:.0} ev/s over {} events), \
          keep-alive {query:.4}s ({:.0} req/s), close {query_close:.4}s ({:.0} req/s), \
          c4 {query_c4:.4}s ({:.0} req/s), c16 {query_c16:.4}s ({:.0} req/s), \
-         recorder pair {query_rec:.4}s vs {query_norec:.4}s (overhead {:+.2}%)",
+         recorder pair {query_rec:.4}s vs {query_norec:.4}s (overhead {:+.2}%), \
+         replay {replay:.4}s ({:.0} ev/s)",
         total as f64 / ingest,
         events.len(),
         QUERIES as f64 / query,
@@ -388,6 +408,7 @@ fn bench_size(n: usize) -> SizeReport {
         CONC_QUERIES as f64 / query_c4,
         CONC_QUERIES as f64 / query_c16,
         (query_rec / query_norec - 1.0) * 100.0,
+        total as f64 / replay,
     );
     SizeReport {
         n,
@@ -399,6 +420,7 @@ fn bench_size(n: usize) -> SizeReport {
         query_c16,
         query_rec,
         query_norec,
+        replay,
     }
 }
 
@@ -425,6 +447,7 @@ fn write_report(reports: &[SizeReport], sizes: &str) {
             "\"query_norec_{}_seconds\": {:.9}",
             r.n, r.query_norec
         ));
+        fields.push(format!("\"replay_{}_seconds\": {:.9}", r.n, r.replay));
         fields.push(format!(
             "\"recorder_overhead_{}_percent\": {:.3}",
             r.n,

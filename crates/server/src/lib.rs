@@ -22,6 +22,14 @@
 //!                                       /journal /healthz /metrics)
 //! ```
 //!
+//! Ingest: one chunked reader frames the log's lines and applies each
+//! read's events in one batch. `--replay` pumps it on the calling thread
+//! up to the log length seen at open, ticks once, and only then binds the
+//! listener; the ingest thread takes over the same reader, so a backlog
+//! that ends mid-line is finished by the tail, and restart cost is linear
+//! in backlog bytes. The tail reopens a log it finds truncated or
+//! replaced.
+//!
 //! Consistency: queries see exactly the last completed tick. Ticks with
 //! no newly applied events are skipped, so the tick journal (cumulative
 //! events per tick, served at `/journal`) stays finite and the daemon's
@@ -31,9 +39,9 @@
 
 pub mod event;
 pub mod http;
+mod ingest;
 pub mod service;
 
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,8 +74,9 @@ pub struct ServerConfig {
     pub http_idle_timeout: Duration,
     /// Keep-alive: retire a connection after this many requests.
     pub http_max_requests: usize,
-    /// Bootstrap mode: apply the log's existing backlog and run one tick
-    /// *before* binding the listener, so the daemon goes live warm.
+    /// Bootstrap mode: apply the log's backlog, up to its length at
+    /// start, and run one tick *before* binding the listener, so the
+    /// daemon goes live warm.
     pub replay: bool,
     /// Minimum severity the structured logger emits.
     pub log_level: Level,
@@ -157,6 +166,8 @@ pub struct ServerState {
     /// Ingest lines dropped for invalid UTF-8 (kept separate from
     /// `server_events_malformed_total`, which counts parse failures).
     pub(crate) events_invalid_utf8: Counter,
+    /// Times the tail found the log truncated or replaced and reopened it.
+    pub(crate) log_reopens: Counter,
     /// HTTP worker threads that died panicking (degrades health).
     pub(crate) worker_panics: Counter,
     /// Per-endpoint × status-class request counters and latency
@@ -244,6 +255,7 @@ impl ServerState {
             health: HealthMachine::new(stall_after, config.degraded_after),
             health_gauge: r.gauge("server_health_state"),
             events_invalid_utf8: r.counter("server_events_invalid_utf8_total"),
+            log_reopens: r.counter("server_log_reopens_total"),
             worker_panics: r.counter("server_worker_panics_total"),
             http_classes: http::HttpClassMetrics::new(r),
             slow: Mutex::new(SlowRing::new()),
@@ -298,11 +310,11 @@ impl ServerState {
         self.maybe_tick()
     }
 
-    /// Apply a batch of parsed events under one service lock. Returns the
-    /// number applied (rejections are counted, not applied).
-    fn apply_batch(&self, events: &[event::ServerEvent]) -> usize {
+    /// Apply a batch of parsed events under one service lock. Rejections
+    /// are counted, not applied.
+    fn apply_batch(&self, events: &[event::ServerEvent]) {
         if events.is_empty() {
-            return 0;
+            return;
         }
         let started = Instant::now();
         let mut applied = 0usize;
@@ -330,7 +342,6 @@ impl ServerState {
             let mut oldest = self.oldest_pending.lock().expect("oldest lock");
             oldest.get_or_insert(started);
         }
-        applied
     }
 
     /// Run one tick if any events arrived since the last one; publish the
@@ -442,95 +453,6 @@ impl ServerState {
     pub fn set_tick_frozen(&self, frozen: bool) {
         self.tick_frozen.store(frozen, Ordering::SeqCst);
     }
-}
-
-/// Tail the log file: parse complete lines into events, apply them in
-/// batches, count malformed lines, and — once shutdown is signalled —
-/// drain whatever the log still holds before returning.
-fn ingest_loop(state: Arc<ServerState>, path: PathBuf, start_offset: u64) {
-    use std::io::Seek;
-    let mut file = match std::fs::File::open(&path) {
-        Ok(f) => f,
-        Err(e) => {
-            state.log.error(
-                "ingest",
-                "cannot open event log",
-                &[
-                    ("path", path.display().to_string().into()),
-                    ("error", e.to_string().into()),
-                ],
-            );
-            return;
-        }
-    };
-    if file.seek(std::io::SeekFrom::Start(start_offset)).is_err() {
-        return;
-    }
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        match file.read(&mut chunk) {
-            Ok(0) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return; // fully drained
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Ok(n) => {
-                pending.extend_from_slice(&chunk[..n]);
-                let batch = drain_lines(&mut pending, &state);
-                state.apply_batch(&batch);
-            }
-            Err(e) => {
-                state.log.error(
-                    "ingest",
-                    "ingest read error",
-                    &[("error", e.to_string().into())],
-                );
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-}
-
-/// Split complete `\n`-terminated lines out of `pending` and parse them.
-/// A trailing partial line stays buffered until its newline arrives.
-/// Bad lines are counted and logged, never fatal — invalid UTF-8 under
-/// `server_events_invalid_utf8_total` (encoding damage, e.g. a torn
-/// write or binary garbage in the log), parse failures under
-/// `server_events_malformed_total` (valid text that isn't an event).
-fn drain_lines(pending: &mut Vec<u8>, state: &ServerState) -> Vec<event::ServerEvent> {
-    let mut events = Vec::new();
-    while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = pending.drain(..=pos).collect();
-        let line = match std::str::from_utf8(&line[..line.len() - 1]) {
-            Ok(s) => s.trim(),
-            Err(_) => {
-                state.events_invalid_utf8.inc();
-                state.log.warn(
-                    "ingest",
-                    "skipped non-UTF-8 log line",
-                    &[("bytes", (line.len() - 1).into())],
-                );
-                continue;
-            }
-        };
-        if line.is_empty() {
-            continue;
-        }
-        match event::parse_event(line) {
-            Ok(ev) => events.push(ev),
-            Err(reason) => {
-                state.events_malformed.inc();
-                state.log.warn(
-                    "ingest",
-                    "skipped malformed event",
-                    &[("reason", reason.as_str().into())],
-                );
-            }
-        }
-    }
-    events
 }
 
 /// The tick thread: one `maybe_tick` per interval until shutdown. Every
@@ -675,28 +597,18 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let service = ReputationService::new(config.service, &telemetry);
     let state = Arc::new(ServerState::new(service, telemetry, &config));
 
-    // --replay: consume the existing backlog and tick once before going
-    // live, so first queries see a warm trust vector.
-    let mut start_offset = 0u64;
+    // --replay: consume the backlog and tick once before going live, so
+    // first queries see a warm trust vector. The tail then continues with
+    // the same reader, partial line included.
+    let mut reader = ingest::LogReader::open(&config.log_path)?;
     if config.replay {
-        let mut buffer = std::fs::read(&config.log_path)?;
-        // A trailing partial line (writer mid-append) is left for the
-        // tailer: rewind the offset to its start.
-        if let Some(last_newline) = buffer.iter().rposition(|&b| b == b'\n') {
-            start_offset = (last_newline + 1) as u64;
-            buffer.truncate(last_newline + 1);
-        } else {
-            start_offset = 0;
-            buffer.clear();
-        }
-        let batch = drain_lines(&mut buffer, &state);
-        let applied = state.apply_batch(&batch);
+        reader.replay(&state)?;
         state.maybe_tick();
         state.log.info(
             "server",
             "replayed backlog",
             &[
-                ("events", applied.into()),
+                ("events", state.events_ingested.get().into()),
                 ("path", config.log_path.display().to_string().into()),
             ],
         );
@@ -709,10 +621,9 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
 
     let ingest = {
         let state = Arc::clone(&state);
-        let path = config.log_path.clone();
         std::thread::Builder::new()
             .name("st-ingest".into())
-            .spawn(move || ingest_loop(state, path, start_offset))?
+            .spawn(move || ingest::ingest_loop(state, reader))?
     };
     let tick = {
         let state = Arc::clone(&state);

@@ -10,6 +10,10 @@
 //!   while the valid lines around them still apply.
 //! * `sigterm_exits_cleanly` — the installed binary drains and exits 0
 //!   on SIGTERM.
+//! * ingest framing — a replayed backlog that ends mid-line finishes that
+//!   line from the tail exactly once, a line nested past the JSON depth
+//!   cap is counted as malformed without taking the daemon down, and a
+//!   truncated or replaced log is reopened and read from the start.
 //! * keep-alive conformance — sequential requests on one socket,
 //!   pipelined pairs answered in order, a malformed second request gets
 //!   a 400 and a clean close, idle connections are reaped on the
@@ -437,6 +441,181 @@ fn malformed_events_are_counted_and_skipped() {
     let (status, _) = http_get(addr, "/healthz");
     assert_eq!(status, 200);
 
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Parse every `{"node":N,"score":S}` row of a `/scores` body.
+fn score_rows(body: &str) -> Vec<(usize, f64)> {
+    body.split("{\"node\":")
+        .skip(1)
+        .map(|row| {
+            let (node, rest) = row.split_once(",\"score\":").expect("score row");
+            let score = rest.trim_end_matches([']', '}', ',']);
+            (
+                node.parse().expect("node id"),
+                score.parse().expect("score value"),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn replay_carries_a_partial_line_into_the_tail() {
+    let dir = temp_dir("replay-partial");
+    let config = ServiceConfig {
+        nodes: 16,
+        interests: 8,
+        pretrusted: 4,
+        ..ServiceConfig::default()
+    };
+    // The backlog ends mid-way through its last event, as if the writer
+    // were caught mid-append.
+    let events = fixture_events();
+    let lines: Vec<String> = events.iter().map(render_event).collect();
+    let (last, whole) = lines.split_last().expect("fixture has events");
+    let (head, rest) = last.split_at(last.len() / 2);
+    let mut backlog = whole.join("\n");
+    backlog.push('\n');
+    backlog.push_str(head);
+    let log_path = dir.join("events.jsonl");
+    std::fs::write(&log_path, backlog).expect("write backlog");
+
+    let handle = boot_tuned(&dir, config, Duration::from_millis(20), |server| {
+        server.replay = true;
+    });
+    let addr = handle.addr();
+    let board = handle.state().board();
+    assert_eq!(board.tick, 1, "replay ticks once before binding");
+    assert_eq!(board.events_applied, whole.len() as u64);
+
+    append_lines(&log_path, &[rest.to_owned()]);
+    wait_for_applied(addr, events.len() as u64);
+    let (status, body) = http_get(addr, "/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(json_number(&body, "events_applied") as usize, events.len());
+    assert_eq!(json_number(&body, "events_malformed") as u64, 0, "{body}");
+    assert_eq!(
+        handle.state().events_ingested().get(),
+        events.len() as u64,
+        "the completed line was applied exactly once"
+    );
+
+    let (status, journal_body) = http_get(addr, "/journal");
+    assert_eq!(status, 200);
+    let journal: Vec<u64> = journal_body
+        .trim_start_matches("{\"journal\":[")
+        .trim_end_matches("]}")
+        .split(',')
+        .map(|s| s.parse().expect("journal entry"))
+        .collect();
+    assert_eq!(
+        journal.first(),
+        Some(&(whole.len() as u64)),
+        "{journal_body}"
+    );
+    assert_eq!(
+        journal.last(),
+        Some(&(events.len() as u64)),
+        "{journal_body}"
+    );
+    let replayed = replay_offline(config, &events, &journal);
+    let (status, body) = http_get(addr, &format!("/scores?top={}", config.nodes));
+    assert_eq!(status, 200);
+    let rows = score_rows(&body);
+    assert_eq!(rows.len(), config.nodes, "{body}");
+    for (node, served) in rows {
+        assert_eq!(
+            served.to_bits(),
+            replayed.scores[node].to_bits(),
+            "node {node}: served {served} != replayed {}",
+            replayed.scores[node]
+        );
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn overly_nested_line_is_malformed_not_fatal() {
+    let dir = temp_dir("nested");
+    let config = ServiceConfig {
+        nodes: 8,
+        interests: 4,
+        pretrusted: 2,
+        ..ServiceConfig::default()
+    };
+    let handle = boot(&dir, config, Duration::from_millis(20));
+    let addr = handle.addr();
+    // 100k levels: far past the 128-level cap, and more than one read
+    // long; parsed by recursion it would overflow the ingest stack.
+    append_lines(
+        &dir.join("events.jsonl"),
+        &[
+            "[".repeat(100_000),
+            r#"{"type":"edge_add","a":1,"b":2}"#.to_owned(),
+        ],
+    );
+    wait_for_applied(addr, 1);
+    let (status, body) = http_get(addr, "/healthz");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_number(&body, "events_applied") as u64, 1, "{body}");
+    assert_eq!(json_number(&body, "events_malformed") as u64, 1, "{body}");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn truncated_or_replaced_log_is_reopened() {
+    let dir = temp_dir("rotate");
+    let config = ServiceConfig {
+        nodes: 32,
+        interests: 4,
+        pretrusted: 2,
+        ..ServiceConfig::default()
+    };
+    let handle = boot(&dir, config, Duration::from_millis(20));
+    let addr = handle.addr();
+    let log_path = dir.join("events.jsonl");
+    let edge = |a: u32| {
+        render_event(&ServerEvent::EdgeAdd {
+            a,
+            b: a + 1,
+            rel: RelKind::Friend,
+        })
+    };
+    let reopens = || {
+        handle
+            .state()
+            .telemetry()
+            .registry()
+            .counter("server_log_reopens_total")
+            .get()
+    };
+    append_lines(&log_path, &(0..20).map(edge).collect::<Vec<_>>());
+    wait_for_applied(addr, 20);
+    // A half-written line the truncation must discard, not glue onto the
+    // first line of the new content.
+    append_raw(&log_path, br#"{"type":"edge_add","a":"#);
+    std::thread::sleep(Duration::from_millis(50));
+
+    // Copy-truncate rotation: the log shrinks below the tail's offset.
+    std::fs::File::create(&log_path).expect("truncate log");
+    append_lines(&log_path, &[edge(20), edge(21)]);
+    wait_for_applied(addr, 22);
+    assert_eq!(reopens(), 1);
+
+    // Rename rotation: the path now names a new file.
+    std::fs::rename(&log_path, dir.join("events.jsonl.1")).expect("rotate log");
+    std::fs::write(&log_path, format!("{}\n", edge(22))).expect("start a new log");
+    wait_for_applied(addr, 23);
+    assert_eq!(reopens(), 2);
+
+    let (status, body) = http_get(addr, "/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(json_number(&body, "events_malformed") as u64, 0, "{body}");
+    let (_, metrics) = http_get(addr, "/metrics");
+    assert!(metrics.contains("server_log_reopens_total 2"), "{metrics}");
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
