@@ -6,7 +6,7 @@
 //!
 //! 1. `patch_{n}_seconds`: sparse interaction dirt (~0.05% of nodes)
 //!    brought up to date through `SnapshotStore::snapshot` — the
-//!    row-repatch path that touches only the dirty rows' shards.
+//!    row-repatch path, which rewrites only the dirty rows, in place.
 //!
 //! 2. `rebuild_{n}_seconds`: localized structural churn (edge toggles on a
 //!    handful of adjacent ids) refreshed through the default
@@ -27,9 +27,10 @@
 //! `snapshot_bytes_per_node_{n}` records the resident snapshot footprint
 //! so the memory budget is tracked alongside the timings. Results land in
 //! `BENCH_scale.json` (override with `BENCH_SCALE_OUT`); keys ending in
-//! `_seconds` are gated by `scripts/bench_diff.sh`. `--test` runs a single
-//! repetition per cell for CI smoke, where `SCALE_SIZES=10000` keeps the
-//! matrix small; the committed baseline carries the full 10k/100k/1M rows.
+//! `_seconds` are gated by `scripts/bench_diff.sh`. CI's smoke run sets
+//! `SCALE_SIZES=10000,100000` to keep the matrix small while still timing
+//! a sharded snapshot; the committed baseline carries the full
+//! 10k/100k/1M rows.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -21,8 +21,9 @@
 //!
 //! 3. `refresh`: after ~0.5% of nodes record fresh interactions, bring
 //!    the snapshot up to date by (a) `GraphSnapshot::build` from scratch
-//!    vs (b) `GraphSnapshot::refreshed`, which repatches only the dirty
-//!    rows' freq slots.
+//!    vs (b) `GraphSnapshot::refreshed`, which takes the previous
+//!    generation by value and repatches only the dirty rows' freq slots,
+//!    in place.
 //!
 //! Besides the Criterion cells, `main` re-measures the three comparisons
 //! with plain `Instant` timing and writes the means to
@@ -184,19 +185,20 @@ fn bench_refresh(c: &mut Criterion) {
 
     {
         let (g, mut t, profiles) = env(41);
-        let mut prev = GraphSnapshot::build(&g, &t, &profiles, 0, config);
+        let mut prev = Some(GraphSnapshot::build(&g, &t, &profiles, 0, config));
         let mut round = 0usize;
         let mut patched = 0usize;
         group.bench_function("incremental_patch", |bench| {
             bench.iter(|| {
                 mutate(&mut t, round);
                 round += 1;
-                let (next, outcome) = GraphSnapshot::refreshed(&prev, &g, &t, &profiles, 0, config);
+                let generation = prev.take().expect("a previous generation");
+                let (next, outcome) =
+                    GraphSnapshot::refreshed(generation, &g, &t, &profiles, 0, config);
                 if matches!(outcome, RefreshOutcome::Patched { .. }) {
                     patched += 1;
                 }
-                prev = next;
-                std::hint::black_box(prev.epochs())
+                std::hint::black_box(prev.insert(next).epochs())
             });
         });
         println!("[refresh] {patched}/{round} rounds took the patch path");
@@ -275,13 +277,13 @@ fn write_bench_json(reps: u32) {
     let rebuild = measure(reps, || {
         std::hint::black_box(GraphSnapshot::build(&g, &t, &profiles, 0, config));
     });
-    let mut prev = snapshot;
+    let mut prev = Some(snapshot);
     let mut round = 0usize;
     let patch = measure(reps, || {
         mutate(&mut t, round);
         round += 1;
-        let (next, _) = GraphSnapshot::refreshed(&prev, &g, &t, &profiles, 0, config);
-        prev = next;
+        let generation = prev.take().expect("a previous generation");
+        prev = Some(GraphSnapshot::refreshed(generation, &g, &t, &profiles, 0, config).0);
     });
 
     let report = BenchReport {

@@ -566,16 +566,7 @@ impl ServerHandle {
         // Post-drain flight-recorder dump: the blackbox captures the
         // final state of every counter after the last tick.
         self.state.dump_blackbox("shutdown");
-        self.state.sink_flush();
         Arc::clone(&self.state)
-    }
-}
-
-impl ServerState {
-    fn sink_flush(&self) {
-        // EventSink file backends flush+fsync on last drop; the in-memory
-        // sink has nothing to flush. Nothing to do beyond dropping guards,
-        // but keep the hook so a future file sink slots in here.
     }
 }
 
@@ -590,8 +581,11 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
             .append(true)
             .open(&config.log_path)?;
     }
+    // No event sink: nothing would ever drain it, so it would keep every
+    // tick's verdicts for the daemon's whole uptime. Verdicts are served
+    // by `/explain` (the tracer) and their counts by `/metrics`.
     let telemetry = Telemetry::with_parts(
-        EventSink::in_memory(),
+        EventSink::disabled(),
         Tracer::new(TracerConfig::with_sample(SampleMode::Full)),
     );
     let service = ReputationService::new(config.service, &telemetry);

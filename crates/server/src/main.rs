@@ -21,7 +21,8 @@
 //! * `--replay` — apply the log's existing backlog and tick once before
 //!   binding, so the daemon goes live warm.
 //! * `--metrics-out PATH` — write a final `MetricsExport` JSON document
-//!   on shutdown.
+//!   on shutdown. Its `events` list is always empty: the daemon keeps no
+//!   event log (verdicts are on `/explain`, counts on `/metrics`).
 //! * `--max-runtime-secs S` — exit cleanly after S seconds (CI smoke
 //!   harnesses use this as a belt-and-braces bound alongside SIGTERM).
 //! * `--log-level LEVEL` — minimum log severity

@@ -26,6 +26,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use socialtrust::telemetry::MetricsExport;
 use socialtrust_server::event::{render_event, RelKind, ServerEvent};
 use socialtrust_server::service::{replay_offline, ServiceConfig};
 use socialtrust_server::{start, ServerConfig, ServerHandle};
@@ -359,6 +360,12 @@ fn scores_match_offline_replay_bit_for_bit() {
 
     let state = handle.shutdown();
     assert_eq!(state.board().events_applied, events.len() as u64);
+    // The daemon keeps no telemetry events: nothing drains them, so they
+    // would grow by at least one per tick for its whole uptime.
+    assert!(
+        MetricsExport::collect(state.telemetry()).events.is_empty(),
+        "the daemon must not buffer telemetry events"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

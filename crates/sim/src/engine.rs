@@ -70,8 +70,9 @@ pub fn run<R: Rng + ?Sized>(
 /// `SocialContext::attach_telemetry` via the world's shared context)
 /// beforehand to capture the detector/EigenTrust layers — plus the
 /// per-cycle CSR snapshot's `snapshot_rebuilds_total` /
-/// `snapshot_patches_total` / `snapshot_rebuild_seconds` — in the same
-/// bundle — [`crate::runner::run_scenario_with_telemetry`] does all of it.
+/// `snapshot_patches_total` / `snapshot_rebuild_seconds` /
+/// `snapshot_patch_seconds` — in the same bundle —
+/// [`crate::runner::run_scenario_with_telemetry`] does all of it.
 ///
 /// Within each simulation cycle the query phase mutates the shared context
 /// (requests dirty the interaction tracker and request profiles); the

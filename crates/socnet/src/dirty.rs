@@ -18,10 +18,8 @@
 //! keeping memory bounded by the node count. Because the journal is sorted
 //! by epoch, "what changed since epoch `e`?" is a binary search plus a
 //! **borrowed** suffix slice — [`changes_since_ref`](DirtyLog::changes_since_ref)
-//! hands that slice out without cloning, and
-//! [`DirtyDeltaRef::nodes_in_range`] filters it to one snapshot shard's
-//! node range, which is how the sharded
-//! [`SnapshotStore`](crate::snapshot::SnapshotStore) routes dirt to shards.
+//! hands that slice out without cloning, and a snapshot refresh walks it
+//! once to group the dirty rows by the shard that owns them.
 
 use serde::{Deserialize, Serialize};
 
@@ -63,14 +61,13 @@ impl DirtyEntry {
 
 /// A borrowed view of what changed since a consumer's sync epoch.
 /// `Sparse` borrows the log's journal suffix instead of cloning the dirty
-/// set, so N snapshot shards can each walk their slice of one delta
-/// without N allocations.
+/// set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirtyDeltaRef<'a> {
     /// Nothing changed; everything derived from the source is still valid.
     Clean,
     /// A sparse set of nodes changed; enumerate them (deduplicated) with
-    /// [`DirtyDeltaRef::nodes`] or [`DirtyDeltaRef::nodes_in_range`].
+    /// [`DirtyDeltaRef::nodes`].
     Sparse {
         /// The journal suffix written after the sync epoch. May contain
         /// tombstones; the iterator helpers skip them.
@@ -91,24 +88,6 @@ pub enum DirtyDeltaRef<'a> {
 }
 
 impl<'a> DirtyDeltaRef<'a> {
-    /// `true` when nothing changed since the sync epoch.
-    #[inline]
-    pub fn is_clean(&self) -> bool {
-        matches!(self, DirtyDeltaRef::Clean)
-    }
-
-    /// `true` when the delta cannot be applied node-by-node: either a
-    /// whole-state mutation, or a sparse set with the structural flag
-    /// raised.
-    #[inline]
-    pub fn requires_rebuild(&self) -> bool {
-        match self {
-            DirtyDeltaRef::Clean => false,
-            DirtyDeltaRef::Sparse { structural, .. } => *structural,
-            DirtyDeltaRef::Full => true,
-        }
-    }
-
     /// The dirty nodes (live journal entries), in touch order, without
     /// duplicates. Empty for `Clean` and `Full`.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + 'a {
@@ -117,14 +96,6 @@ impl<'a> DirtyDeltaRef<'a> {
             _ => &[],
         };
         entries.iter().filter(|e| !e.is_tombstone()).map(|e| e.node)
-    }
-
-    /// The dirty nodes whose index falls in `[start, end)` — one snapshot
-    /// shard's borrowed slice of the delta. Zero-copy: every shard filters
-    /// the same journal suffix.
-    pub fn nodes_in_range(&self, start: usize, end: usize) -> impl Iterator<Item = NodeId> + 'a {
-        self.nodes()
-            .filter(move |v| (start..end).contains(&v.index()))
     }
 }
 
@@ -305,29 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_classification_helpers() {
-        assert!(DirtyDeltaRef::Clean.is_clean());
-        assert!(!DirtyDeltaRef::Clean.requires_rebuild());
-        assert!(DirtyDeltaRef::Full.requires_rebuild());
-        assert!(!DirtyDeltaRef::Full.is_clean());
-        let entries = [DirtyEntry {
-            node: NodeId(1),
-            epoch: 1,
-        }];
-        let sparse = DirtyDeltaRef::Sparse {
-            entries: &entries,
-            structural: false,
-        };
-        assert!(!sparse.is_clean());
-        assert!(!sparse.requires_rebuild());
-        let structural = DirtyDeltaRef::Sparse {
-            entries: &entries,
-            structural: true,
-        };
-        assert!(structural.requires_rebuild());
-    }
-
-    #[test]
     fn touch_all_forces_full_for_lagging_consumers() {
         let mut log = DirtyLog::new();
         log.touch([NodeId(1)]);
@@ -360,17 +308,6 @@ mod tests {
             (vec![NodeId(1), NodeId(3)], true)
         );
         assert_eq!(log.changes_since_ref(log.epoch()), DirtyDeltaRef::Clean);
-    }
-
-    #[test]
-    fn range_filter_slices_per_shard() {
-        let mut log = DirtyLog::new();
-        log.touch([NodeId(0), NodeId(5), NodeId(9), NodeId(12)]);
-        let delta = log.changes_since_ref(0);
-        let low: Vec<NodeId> = delta.nodes_in_range(0, 8).collect();
-        let high: Vec<NodeId> = delta.nodes_in_range(8, 16).collect();
-        assert_eq!(low, vec![NodeId(0), NodeId(5)]);
-        assert_eq!(high, vec![NodeId(9), NodeId(12)]);
     }
 
     #[test]

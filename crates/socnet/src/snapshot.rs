@@ -18,8 +18,10 @@
 //!   numerator per edge slot, plus the per-node denominator
 //!   `Σ_{k∈S_i} f(i,k)`. Adjacent closeness becomes one multiply-divide;
 //!   common friends (Eq. (3)) an allocation-free sorted-slice
-//!   intersection. Shards are `Arc`-shared between snapshot generations:
-//!   a refresh clones only the shards it touches.
+//!   intersection. Shards are `Arc`s: a refresh moves the previous
+//!   generation's slabs into the next one, so a shard it does not touch
+//!   costs nothing and a shard it patches is copied only while a reader
+//!   still holds the previous generation.
 //! * **Batched Eq. (4)** — one capped BFS per rater serves *all* of its
 //!   path-fallback ratees from a single traversal
 //!   ([`GraphSnapshot::closeness_to_all`]), on reusable
@@ -45,18 +47,21 @@
 //! numerators are baked into its edge slots. [`SnapshotStore`] keeps the
 //! most recent snapshot and refreshes it from borrowed
 //! [`DirtyLog::changes_since_ref`](crate::dirty::DirtyLog::changes_since_ref)
-//! deltas, routed per shard:
+//! deltas. A config switch, a whole-state flush or a changed node count
+//! rebuilds every shard (fanned out over rayon). Otherwise one rayon pass
+//! over the shards does all the work:
 //!
-//! * interaction-only dirt repatches just the dirty rows' frequency slots
-//!   and denominators, inside the owning shard only;
-//! * structural churn (edge add/remove) rebuilds **only the shards owning
-//!   a dirty endpoint** — sound because an edge mutation rewrites exactly
-//!   its two endpoints' adjacency rows, and both endpoints are in the
-//!   dirty set — and repatches interaction dirt in the surviving shards;
-//! * a whole-state flush or config switch rebuilds every shard (fanned
-//!   out over rayon).
+//! * a shard owning an endpoint of a structural change (edge add/remove)
+//!   is rebuilt — sound because an edge mutation rewrites exactly its two
+//!   endpoints' adjacency rows, and both endpoints are in the dirty set;
+//! * a shard holding interaction-dirty rows has just those rows'
+//!   frequency slots and denominators repatched, through
+//!   `Arc::make_mut`: in place when the store held the previous
+//!   generation alone, on a copy of that one shard when a reader still
+//!   holds it;
+//! * every other shard is carried over as it is.
 //!
-//! Rebuild refreshes emit a `snapshot_rebuild` telemetry event carrying
+//! Structural rebuilds emit a `snapshot_rebuild` telemetry event carrying
 //! the dirty-node count. Consumers that hold one `Arc<GraphSnapshot>` for
 //! a whole cycle are guaranteed a frozen, mutually consistent view — no
 //! lock traffic, no mid-cycle epoch drift.
@@ -119,7 +124,9 @@ impl CsrShard {
     /// Build the slab for rows `start..end` from live structures. The
     /// per-row loop is identical to the historical unsharded build, so
     /// the arrays are bit-for-bit what a single-slab build would hold in
-    /// this range.
+    /// this range. The edge-parallel arrays are sized exactly from a
+    /// degree-sum pass: refreshes patch slabs in place for the rest of
+    /// their life, so growth slack would stay resident.
     fn build(
         graph: &SocialGraph,
         interactions: &InteractionTracker,
@@ -128,10 +135,13 @@ impl CsrShard {
         end: usize,
     ) -> CsrShard {
         let len = end - start;
+        let slots: usize = (start..end)
+            .map(|i| graph.neighbors(NodeId::from(i)).len())
+            .sum();
         let mut offsets = Vec::with_capacity(len + 1);
-        let mut neighbors = Vec::new();
-        let mut freq = Vec::new();
-        let mut numerator = Vec::new();
+        let mut neighbors = Vec::with_capacity(slots);
+        let mut freq = Vec::with_capacity(slots);
+        let mut numerator = Vec::with_capacity(slots);
         let mut friend_total = Vec::with_capacity(len);
         offsets.push(0u32);
         for i in start..end {
@@ -279,16 +289,15 @@ pub struct GraphSnapshot {
     config: ClosenessConfig,
     /// Number of nodes (CSR rows across all shards).
     n: usize,
-    /// Nodes per shard at build time; the *last* shard absorbs the
-    /// remainder and any nodes added after the build, so
+    /// Nodes per shard; the *last* shard absorbs the remainder, so
     /// `shard index = min(i / shard_size, P-1)`.
     shard_size: usize,
-    /// The P node-range slabs. `Arc`-shared with the previous snapshot
-    /// generation: a refresh clones only the shards it mutates, so
-    /// untouched slabs cost one refcount, not one copy.
+    /// The P node-range slabs. A refresh moves them into the next
+    /// generation; a slab is copied only to patch it while a reader still
+    /// holds this one.
     shards: Vec<Arc<CsrShard>>,
-    /// Interest tables, shared across generations until a
-    /// profiles-version bump (or node growth) rebuilds them.
+    /// Interest tables, carried across generations until a
+    /// profiles-version bump or a full rebuild replaces them.
     interest: Arc<InterestTables>,
 }
 
@@ -311,7 +320,8 @@ pub enum RefreshOutcome {
     /// if needed).
     Rebuilt {
         /// Dirty-node count when the rebuild was forced by graph
-        /// structure; `None` for config switches and interaction resets.
+        /// structure; `None` for config switches, interaction resets and
+        /// node-count changes.
         structural_dirty: Option<usize>,
     },
 }
@@ -373,23 +383,26 @@ impl GraphSnapshot {
         }
     }
 
-    /// Produce an up-to-date snapshot from `prev`, keeping `prev`'s shard
-    /// layout: interaction dirt patches only the dirty rows inside their
-    /// owning shards; structural dirt rebuilds only the shards owning a
-    /// dirty endpoint; config switches and whole-state flushes rebuild
-    /// everything (at `prev`'s shard count). Returns the new snapshot and
+    /// Produce an up-to-date snapshot from `prev`, keeping its shard
+    /// layout. A config switch, a whole-state flush or a changed node
+    /// count rebuilds every shard (at `prev`'s shard count). Otherwise one
+    /// rayon pass rebuilds the shards owning a structurally dirty
+    /// endpoint, repatches the interaction-dirty rows of the others, and
+    /// carries the rest over. `prev` is taken by value so that pass can
+    /// patch its slabs in place: `Arc::make_mut` copies a slab only while
+    /// another generation still shares it. Returns the new snapshot and
     /// what was done. The caller is responsible for having checked
-    /// [`GraphSnapshot::is_fresh`] first (refreshing a fresh snapshot
-    /// performs a pointless copy).
+    /// [`GraphSnapshot::is_fresh`] first.
     pub fn refreshed(
-        prev: &GraphSnapshot,
+        prev: GraphSnapshot,
         graph: &SocialGraph,
         interactions: &InteractionTracker,
         profiles: &[InterestProfile],
         profiles_version: u64,
         config: ClosenessConfig,
     ) -> (GraphSnapshot, RefreshOutcome) {
-        let p = prev.shards.len();
+        use rayon::prelude::*;
+        let (n, p) = (graph.node_count(), prev.shards.len());
         let full = |structural_dirty: Option<usize>| {
             (
                 GraphSnapshot::build_with_shards(
@@ -408,184 +421,88 @@ impl GraphSnapshot {
         }
         let graph_delta = graph.changes_since_ref(prev.graph_epoch);
         let structural_dirty = match graph_delta {
-            DirtyDeltaRef::Full => return full(Some(graph.node_count())),
+            DirtyDeltaRef::Clean => None,
             DirtyDeltaRef::Sparse {
                 structural: true, ..
             } => Some(graph_delta.nodes().count()),
-            // Non-structural graph dirt is node *addition* only; anything
-            // claiming to have touched a pre-existing row non-structurally
-            // is outside the patch contract, so fall back to a rebuild.
-            DirtyDeltaRef::Sparse { .. } if graph_delta.nodes().any(|v| v.index() < prev.n) => {
-                return full(None);
-            }
-            _ => None,
+            // Non-structural graph dirt is node *addition* only, and node
+            // growth moves the shard boundaries: rebuild every shard.
+            DirtyDeltaRef::Sparse { .. } => return full(None),
+            DirtyDeltaRef::Full => return full(Some(n)),
         };
         let inter_delta = interactions.changes_since_ref(prev.interaction_epoch);
-        if matches!(inter_delta, DirtyDeltaRef::Full) {
-            // Whole-tracker reset: every frequency slot is stale, so even
-            // a structural partial rebuild cannot save the other shards.
+        // Whole-tracker reset: every frequency slot is stale, so even a
+        // structural partial rebuild cannot save the other shards. Growth
+        // that came with structural dirt moves the boundaries too.
+        if n != prev.n || matches!(inter_delta, DirtyDeltaRef::Full) {
             return full(structural_dirty);
         }
 
-        let mut next = prev.clone();
-        let n = graph.node_count();
-        let grew = n > next.n;
-
-        if let Some(dirty_count) = structural_dirty {
-            // Partial structural rebuild: reconstruct exactly the shards
-            // owning a dirty endpoint. Sound because an edge mutation
-            // rewrites only its two endpoints' adjacency rows and dirties
-            // both endpoints; rows in other shards are byte-identical to
-            // what a full rebuild would produce — up to interaction dirt,
-            // which is repatched below.
-            next.rebuild_shards_for(graph_delta, graph, interactions, grew.then_some(n));
-            next.n = n;
-            next.patch_interactions(inter_delta, interactions);
-            if grew || profiles_version != next.profiles_version {
-                next.interest = Arc::new(InterestTables::build(n, profiles));
-            }
-            next.profiles_version = profiles_version;
-            next.graph_epoch = graph.epoch();
-            next.interaction_epoch = interactions.epoch();
-            return (
-                next,
-                RefreshOutcome::Rebuilt {
-                    structural_dirty: Some(dirty_count),
-                },
-            );
-        }
-
-        if grew {
-            // New nodes arrive isolated (edge additions are structural),
-            // so their CSR rows are empty; the last shard absorbs them.
-            let last = Arc::make_mut(next.shards.last_mut().expect("at least one shard"));
-            let end = *last.offsets.last().expect("offsets never empty");
-            last.offsets.resize(n - last.start + 1, end);
-            last.friend_total.resize(n - last.start, 0.0);
-            next.n = n;
-        }
-        let rows = next.patch_interactions(inter_delta, interactions);
-        if grew || profiles_version != next.profiles_version {
-            next.interest = Arc::new(InterestTables::build(n, profiles));
-            next.profiles_version = profiles_version;
-        }
-        next.graph_epoch = graph.epoch();
-        next.interaction_epoch = interactions.epoch();
-        (next, RefreshOutcome::Patched { rows })
-    }
-
-    /// Rebuild the shards owning a node dirtied by `graph_delta` (plus
-    /// the last shard when the graph grew to `grown_n`), reusing every
-    /// other slab by `Arc` clone. Rebuilds fan out over rayon.
-    fn rebuild_shards_for(
-        &mut self,
-        graph_delta: DirtyDeltaRef<'_>,
-        graph: &SocialGraph,
-        interactions: &InteractionTracker,
-        grown_n: Option<usize>,
-    ) {
-        use rayon::prelude::*;
-        let p = self.shards.len();
-        let n = grown_n.unwrap_or(self.n);
-        let mut dirty = vec![false; p];
+        // Per shard: `None` to rebuild, else the interaction-dirty rows to
+        // repatch. A shard owning a dirty endpoint is rebuilt. Sound
+        // because an edge mutation rewrites only its two endpoints'
+        // adjacency rows and dirties both endpoints; rows in other shards
+        // are byte-identical to what a full rebuild would produce — up to
+        // interaction dirt, which is repatched.
+        let shard_of = |i: usize| (i / prev.shard_size).min(p - 1);
+        let mut work: Vec<Option<Vec<NodeId>>> = vec![Some(Vec::new()); p];
         for v in graph_delta.nodes() {
-            dirty[(v.index() / self.shard_size).min(p - 1)] = true;
+            work[shard_of(v.index())] = None;
         }
-        if grown_n.is_some() {
-            dirty[p - 1] = true;
-        }
-        let config = self.config;
-        let shard_size = self.shard_size;
-        let dirty = &dirty;
-        let rebuilt: Vec<Option<Arc<CsrShard>>> = (0..p)
-            .into_par_iter()
-            .map(|k| {
-                if !dirty[k] {
-                    return None;
-                }
-                let start = k * shard_size;
-                let end = if k + 1 == p { n } else { start + shard_size };
-                Some(Arc::new(CsrShard::build(
-                    graph,
-                    interactions,
-                    config,
-                    start,
-                    end,
-                )))
-            })
-            .collect();
-        for (k, slab) in rebuilt.into_iter().enumerate() {
-            if let Some(slab) = slab {
-                self.shards[k] = slab;
-            }
-        }
-    }
-
-    /// Repatch interaction-dirty rows, batched per owning shard. Dirt is
-    /// first grouped by shard, then each touched shard is brought up to
-    /// date exactly once: slabs this snapshot already owns uniquely (e.g.
-    /// just rebuilt by a structural pass this refresh — the patch is
-    /// idempotent there) are patched in place with no copy, while slabs
-    /// still shared with older snapshot generations are clone+patched in
-    /// parallel over rayon. Row patches only write their own frequency
-    /// slots and denominator, so batch order never changes a result and
-    /// the refresh stays bit-for-bit equal to the per-row path. Returns
-    /// the number of rows patched.
-    fn patch_interactions(
-        &mut self,
-        inter_delta: DirtyDeltaRef<'_>,
-        interactions: &InteractionTracker,
-    ) -> usize {
-        use rayon::prelude::*;
-        let p = self.shards.len();
-        // Group the dirty rows by owning shard.
-        let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); p];
-        let mut rows = 0usize;
         for v in inter_delta.nodes() {
-            let i = v.index();
-            if i >= self.n {
-                continue; // tracker covers more nodes than the graph
-            }
-            buckets[(i / self.shard_size).min(p - 1)].push(v);
-            rows += 1;
-        }
-        // In-place pass for uniquely-owned slabs; collect the shared ones.
-        let mut shared: Vec<usize> = Vec::new();
-        for (k, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            match Arc::get_mut(&mut self.shards[k]) {
-                Some(shard) => {
-                    for &v in bucket {
-                        shard.patch_row(v.index() - shard.start, v, interactions);
-                    }
+            // The tracker may cover more nodes than the graph.
+            if v.index() < n {
+                if let Some(rows) = &mut work[shard_of(v.index())] {
+                    rows.push(v);
                 }
-                None => shared.push(k),
             }
         }
-        if shared.is_empty() {
-            return rows;
-        }
-        // Clone+patch every still-shared shard concurrently: the slab
-        // memcpy dominates the sparse-dirt patch path, and the copies are
-        // independent.
-        let shards = &self.shards;
-        let buckets = &buckets;
-        let repatched: Vec<(usize, Arc<CsrShard>)> = shared
+        let rows = work.iter().flatten().map(Vec::len).sum();
+        // Row patches only write their own frequency slots and
+        // denominator, so patch order never changes a result.
+        let shards: Vec<Arc<CsrShard>> = prev
+            .shards
+            .into_iter()
+            .zip(work)
+            .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|k| {
-                let mut shard = CsrShard::clone(&shards[k]);
-                for &v in &buckets[k] {
-                    shard.patch_row(v.index() - shard.start, v, interactions);
+            .map(|(mut shard, job)| match job {
+                None => {
+                    // Same row range: the node count is unchanged.
+                    let (start, end) = (shard.start, shard.start + shard.friend_total.len());
+                    Arc::new(CsrShard::build(graph, interactions, config, start, end))
                 }
-                (k, Arc::new(shard))
+                Some(rows) => {
+                    if !rows.is_empty() {
+                        let slab = Arc::make_mut(&mut shard);
+                        for v in rows {
+                            slab.patch_row(v.index() - slab.start, v, interactions);
+                        }
+                    }
+                    shard
+                }
             })
             .collect();
-        for (k, slab) in repatched {
-            self.shards[k] = slab;
-        }
-        rows
+        let interest = if profiles_version == prev.profiles_version {
+            prev.interest
+        } else {
+            Arc::new(InterestTables::build(n, profiles))
+        };
+        let outcome = match structural_dirty {
+            Some(_) => RefreshOutcome::Rebuilt { structural_dirty },
+            None => RefreshOutcome::Patched { rows },
+        };
+        let next = GraphSnapshot {
+            graph_epoch: graph.epoch(),
+            interaction_epoch: interactions.epoch(),
+            profiles_version,
+            config,
+            n,
+            shard_size: prev.shard_size,
+            shards,
+            interest,
+        };
+        (next, outcome)
     }
 
     /// Number of nodes in the snapshot.
@@ -1067,6 +984,8 @@ pub struct SnapshotStore {
     patches: Counter,
     /// Wall-clock seconds per rebuild (`snapshot_rebuild_seconds`).
     rebuild_seconds: Histogram,
+    /// Wall-clock seconds per patch (`snapshot_patch_seconds`).
+    patch_seconds: Histogram,
     /// CSR + interest heap bytes per node (`snapshot_bytes_per_node`),
     /// updated after every refresh.
     bytes_per_node: Gauge,
@@ -1082,6 +1001,7 @@ impl Default for SnapshotStore {
             rebuilds: Counter::detached(),
             patches: Counter::detached(),
             rebuild_seconds: Histogram::detached(),
+            patch_seconds: Histogram::detached(),
             bytes_per_node: Gauge::detached(),
             sink: EventSink::disabled(),
         }
@@ -1121,8 +1041,9 @@ impl SnapshotStore {
 
     /// Re-homes the rebuild/patch counters onto `telemetry`'s registry
     /// (`snapshot_rebuilds_total` / `snapshot_patches_total`, counts
-    /// migrated), registers the `snapshot_rebuild_seconds` histogram and
-    /// the `snapshot_bytes_per_node` gauge, and routes `snapshot_rebuild`
+    /// migrated), registers the `snapshot_rebuild_seconds` and
+    /// `snapshot_patch_seconds` histograms and the
+    /// `snapshot_bytes_per_node` gauge, and routes `snapshot_rebuild`
     /// events to its sink.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         let registry = telemetry.registry();
@@ -1137,6 +1058,7 @@ impl SnapshotStore {
             }
         }
         self.rebuild_seconds = registry.histogram("snapshot_rebuild_seconds");
+        self.patch_seconds = registry.histogram("snapshot_patch_seconds");
         self.bytes_per_node = registry.gauge("snapshot_bytes_per_node");
         self.sink = telemetry.sink().clone();
     }
@@ -1144,7 +1066,9 @@ impl SnapshotStore {
     /// The current snapshot for the given state and config, refreshed if
     /// stale. Hold the returned `Arc` for the whole read cycle — repeated
     /// calls are cheap (`Arc` clone after one epoch comparison) but each
-    /// re-validates against the live epochs.
+    /// re-validates against the live epochs — and drop it before the next
+    /// refresh: a generation still held then makes the refresh copy every
+    /// shard it patches.
     pub fn snapshot(
         &self,
         graph: &SocialGraph,
@@ -1165,9 +1089,11 @@ impl SnapshotStore {
             }
         }
         let started = Instant::now();
-        let (snapshot, outcome) = match &*slot {
+        let (snapshot, outcome) = match slot.take() {
+            // Unwrapped without a copy unless a reader still holds the
+            // generation, so the refresh can patch its shards in place.
             Some(prev) => GraphSnapshot::refreshed(
-                prev,
+                Arc::unwrap_or_clone(prev),
                 graph,
                 interactions,
                 profiles,
@@ -1189,12 +1115,15 @@ impl SnapshotStore {
                 },
             ),
         };
+        let seconds = started.elapsed().as_secs_f64();
         match outcome {
-            RefreshOutcome::Patched { .. } => self.patches.inc(),
+            RefreshOutcome::Patched { .. } => {
+                self.patches.inc();
+                self.patch_seconds.observe(seconds);
+            }
             RefreshOutcome::Rebuilt { structural_dirty } => {
                 self.rebuilds.inc();
-                self.rebuild_seconds
-                    .observe(started.elapsed().as_secs_f64());
+                self.rebuild_seconds.observe(seconds);
                 if let Some(dirty_nodes) = structural_dirty {
                     if self.sink.is_enabled() {
                         self.sink.emit(Event::SnapshotRebuild {
@@ -1381,7 +1310,7 @@ mod tests {
         let prev = GraphSnapshot::build(&g, &t, &p, 0, config);
         t.record(NodeId(0), NodeId(1), 2.0);
         t.record(NodeId(2), NodeId(3), 1.0);
-        let (next, outcome) = GraphSnapshot::refreshed(&prev, &g, &t, &p, 0, config);
+        let (next, outcome) = GraphSnapshot::refreshed(prev.clone(), &g, &t, &p, 0, config);
         assert_eq!(outcome, RefreshOutcome::Patched { rows: 2 });
         let model = ClosenessModel::new(&g, &t, config);
         for i in 0..5u32 {
@@ -1403,7 +1332,7 @@ mod tests {
         let config = ClosenessConfig::default();
         let prev = GraphSnapshot::build(&g, &t, &p, 0, config);
         g.add_relationship(NodeId(1), NodeId(4), Relationship::friendship());
-        let (next, outcome) = GraphSnapshot::refreshed(&prev, &g, &t, &p, 0, config);
+        let (next, outcome) = GraphSnapshot::refreshed(prev, &g, &t, &p, 0, config);
         assert_eq!(
             outcome,
             RefreshOutcome::Rebuilt {
@@ -1422,7 +1351,7 @@ mod tests {
         let (g, t) = fixture();
         let prev = GraphSnapshot::build(&g, &t, &[], 0, ClosenessConfig::default());
         let weighted = ClosenessConfig::weighted(0.6);
-        let (next, outcome) = GraphSnapshot::refreshed(&prev, &g, &t, &[], 0, weighted);
+        let (next, outcome) = GraphSnapshot::refreshed(prev, &g, &t, &[], 0, weighted);
         assert_eq!(
             outcome,
             RefreshOutcome::Rebuilt {
@@ -1444,7 +1373,7 @@ mod tests {
         let prev = GraphSnapshot::build(&g, &t, &p, 0, config);
         p[3].declared_mut().insert(InterestId(2));
         p[3].record_requests(InterestId(2), 9);
-        let (next, outcome) = GraphSnapshot::refreshed(&prev, &g, &t, &p, 1, config);
+        let (next, outcome) = GraphSnapshot::refreshed(prev.clone(), &g, &t, &p, 1, config);
         assert_eq!(outcome, RefreshOutcome::Patched { rows: 0 });
         assert_eq!(
             next.similarity(NodeId(3), NodeId(1)).to_bits(),
@@ -1555,7 +1484,7 @@ mod tests {
         let prev = GraphSnapshot::build_with_shards(&g, &t, &p, 0, config, 5);
         assert_eq!(prev.shard_count(), 5);
         g.add_relationship(NodeId(2), NodeId(4), Relationship::friendship());
-        let (next, outcome) = GraphSnapshot::refreshed(&prev, &g, &t, &p, 0, config);
+        let (next, outcome) = GraphSnapshot::refreshed(prev.clone(), &g, &t, &p, 0, config);
         assert_eq!(
             outcome,
             RefreshOutcome::Rebuilt {
@@ -1589,6 +1518,70 @@ mod tests {
         }
     }
 
+    /// Every closeness answer of the fixture's 5 × 5 pairs, as bits.
+    fn closeness_bits(snap: &GraphSnapshot) -> Vec<u64> {
+        (0..5u32)
+            .flat_map(|i| (0..5u32).map(move |j| snap.closeness(NodeId(i), NodeId(j)).to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn unheld_generation_is_patched_in_place() {
+        let (g, mut t) = fixture();
+        let p = profiles();
+        let config = ClosenessConfig::default();
+        // 5 nodes, 5 shards: one row each.
+        let store = SnapshotStore::with_shards(5);
+        let first = store.snapshot(&g, &t, &p, 0, config);
+        assert_eq!(first.shard_count(), 5);
+        let addresses: Vec<*const CsrShard> = first.shards.iter().map(Arc::as_ptr).collect();
+        drop(first);
+        t.record(NodeId(2), NodeId(1), 1.0);
+        let next = store.snapshot(&g, &t, &p, 0, config);
+        assert_eq!(store.stats(), (1, 1), "interaction dirt must patch");
+        for (k, shard) in next.shards.iter().enumerate() {
+            assert_eq!(
+                Arc::as_ptr(shard),
+                addresses[k],
+                "shard {k} was copied although no reader held the generation"
+            );
+        }
+        let model = ClosenessModel::new(&g, &t, config);
+        for i in 0..5u32 {
+            for j in 0..5u32 {
+                assert_eq!(
+                    next.closeness(NodeId(i), NodeId(j)).to_bits(),
+                    model.closeness(NodeId(i), NodeId(j)).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn held_generation_keeps_its_answers_and_shares_clean_shards() {
+        let (g, mut t) = fixture();
+        let p = profiles();
+        let config = ClosenessConfig::default();
+        let store = SnapshotStore::with_shards(5);
+        let held = store.snapshot(&g, &t, &p, 0, config);
+        let before = closeness_bits(&held);
+        t.record(NodeId(2), NodeId(1), 1.0);
+        let next = store.snapshot(&g, &t, &p, 0, config);
+        assert_eq!(store.stats(), (1, 1), "interaction dirt must patch");
+        assert_eq!(closeness_bits(&held), before, "held generation changed");
+        assert_ne!(closeness_bits(&next), before, "row 2 was not repatched");
+        for k in [0usize, 1, 3, 4] {
+            assert!(
+                Arc::ptr_eq(&held.shards[k], &next.shards[k]),
+                "clean shard {k} should be shared with the held generation"
+            );
+        }
+        assert!(
+            !Arc::ptr_eq(&held.shards[2], &next.shards[2]),
+            "the dirty shard must be copied while a reader holds it"
+        );
+    }
+
     #[test]
     fn store_with_shards_reports_bytes_per_node() {
         let (g, t) = fixture();
@@ -1602,7 +1595,7 @@ mod tests {
     }
 
     #[test]
-    fn node_growth_patches_with_empty_rows() {
+    fn node_growth_rebuilds_with_empty_rows() {
         let (mut g, mut t) = fixture();
         let mut p = profiles();
         let config = ClosenessConfig::default();
@@ -1610,8 +1603,13 @@ mod tests {
         let v = g.add_node();
         t.ensure_nodes(g.node_count());
         p.push(InterestProfile::new(InterestSet::from_ids([2])));
-        let (next, outcome) = GraphSnapshot::refreshed(&prev, &g, &t, &p, 1, config);
-        assert!(matches!(outcome, RefreshOutcome::Patched { .. }));
+        let (next, outcome) = GraphSnapshot::refreshed(prev, &g, &t, &p, 1, config);
+        assert_eq!(
+            outcome,
+            RefreshOutcome::Rebuilt {
+                structural_dirty: None
+            }
+        );
         assert_eq!(next.node_count(), 6);
         assert_eq!(next.closeness(v, NodeId(0)), 0.0);
         assert_eq!(

@@ -12,7 +12,7 @@ use socialtrust_socnet::interest::{
     similarity, weighted_similarity, InterestId, InterestProfile, InterestSet,
 };
 use socialtrust_socnet::relationship::{weighted_relationship_sum, Relationship, RelationshipKind};
-use socialtrust_socnet::snapshot::SnapshotStore;
+use socialtrust_socnet::snapshot::{GraphSnapshot, SnapshotStore};
 use socialtrust_socnet::NodeId;
 
 fn interest_set_strategy() -> impl Strategy<Value = InterestSet> {
@@ -48,6 +48,17 @@ fn env(seed: u64, n: usize) -> (socialtrust_socnet::graph::SocialGraph, Interact
         }
     }
     (g, t)
+}
+
+/// What a snapshot answers for one pair, as bit patterns: closeness both
+/// ways and both interest-similarity modes.
+fn pair_answers(snap: &GraphSnapshot, a: NodeId, b: NodeId) -> [u64; 4] {
+    [
+        snap.closeness(a, b).to_bits(),
+        snap.closeness(b, a).to_bits(),
+        snap.similarity(a, b).to_bits(),
+        snap.weighted_similarity(a, b).to_bits(),
+    ]
 }
 
 proptest! {
@@ -196,13 +207,16 @@ proptest! {
     /// every step. Sparse interaction dirt exercises the row-patch path;
     /// edge mutations exercise the structural full rebuild; tracker clears
     /// exercise the whole-state (`DirtyDeltaRef::Full`) rebuild; profile
-    /// edits exercise the interest-table repatch.
+    /// edits exercise the interest-table repatch. Every other snapshot is
+    /// dropped before the next refresh, which then patches in place; a
+    /// hold step keeps its snapshot across all later refreshes, which must
+    /// copy the shards they patch and never change what it answers.
     #[test]
     fn snapshot_matches_live_path_under_mutation_interleaving(
         seed in 0u64..200,
         n in 4usize..24,
         weighted in proptest::bool::ANY,
-        script in proptest::collection::vec((0u8..9, 0u64..u64::MAX), 1..40),
+        script in proptest::collection::vec((0u8..10, 0u64..u64::MAX), 1..40),
     ) {
         let (mut g, mut t) = env(seed, n);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
@@ -218,6 +232,7 @@ proptest! {
             ClosenessConfig::default()
         };
         let store = SnapshotStore::new();
+        let mut held = Vec::new();
         for (op, raw) in script {
             let a = NodeId::from((raw % n as u64) as usize);
             let b = NodeId::from(((raw / n as u64) % n as u64) as usize);
@@ -248,10 +263,21 @@ proptest! {
                 8 => {
                     t.clear();
                 }
-                // 6 and 7 are pure query steps: no mutation at all.
+                // 6 and 7 are pure query steps: no mutation at all; 9
+                // holds this step's snapshot (below).
                 _ => {}
             }
             let snap = store.snapshot(&g, &t, &profiles, pv, config);
+            if op == 9 {
+                held.push((snap.clone(), a, b, pair_answers(&snap, a, b)));
+            }
+            for (old, ha, hb, answers) in &held {
+                prop_assert_eq!(
+                    pair_answers(old, *ha, *hb),
+                    *answers,
+                    "held snapshot's answers for ({}, {}) changed after op {}", ha, hb, op
+                );
+            }
             let model = ClosenessModel::new(&g, &t, config);
             prop_assert_eq!(
                 snap.closeness(a, b).to_bits(),

@@ -20,8 +20,7 @@
 //!   [`Telemetry`] swaps in registry-backed handles and migrates the
 //!   accumulated counts.
 //! * **Snapshots are data.** [`Registry::snapshot`] produces a plain
-//!   serializable [`Snapshot`]; [`Snapshot::diff`] turns lifetime totals
-//!   into per-cycle deltas.
+//!   serializable [`Snapshot`] of lifetime totals.
 //!
 //! ```
 //! use socialtrust_telemetry::{Event, EventSink, Span, Telemetry};

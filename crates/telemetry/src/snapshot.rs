@@ -1,10 +1,8 @@
-//! Point-in-time views of a registry and delta arithmetic between them.
+//! Point-in-time views of a registry.
 //!
 //! A [`Snapshot`] is a plain serializable tree (sorted maps of metric name
 //! to value) so it can be embedded in `RunResult`s, JSON exports, and
-//! tests. [`Snapshot::diff`] subtracts an earlier snapshot from a later
-//! one, which is how per-cycle deltas are reported instead of lifetime
-//! totals.
+//! tests.
 
 use std::collections::BTreeMap;
 
@@ -86,27 +84,6 @@ impl HistogramSnapshot {
             .or_else(|| self.mean())
             .filter(|v| v.is_finite())
     }
-
-    /// Subtracts `earlier` from `self` bucket-by-bucket.
-    ///
-    /// Returns `self` unchanged when the bucket layouts differ (the metric
-    /// was re-created with different bounds between snapshots).
-    pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        if self.bounds != earlier.bounds || self.counts.len() != earlier.counts.len() {
-            return self.clone();
-        }
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .zip(&earlier.counts)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            count: self.count.saturating_sub(earlier.count),
-            sum: (self.sum - earlier.sum).max(0.0),
-        }
-    }
 }
 
 /// Point-in-time view of every metric in a registry.
@@ -121,35 +98,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Subtracts `earlier` from `self`.
-    ///
-    /// Counters and histograms are differenced (names missing from
-    /// `earlier` keep their full value); gauges are instantaneous, so the
-    /// later value is kept as-is.
-    pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(name, v)| {
-                let before = earlier.counters.get(name).copied().unwrap_or(0);
-                (name.clone(), v.saturating_sub(before))
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(name, h)| match earlier.histograms.get(name) {
-                Some(before) => (name.clone(), h.diff(before)),
-                None => (name.clone(), h.clone()),
-            })
-            .collect();
-        Snapshot {
-            counters,
-            gauges: self.gauges.clone(),
-            histograms,
-        }
-    }
-
     /// Counter value by name (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -184,32 +132,6 @@ mod tests {
             count,
             sum,
         }
-    }
-
-    #[test]
-    fn snapshot_diff_subtracts_counters_and_histograms() {
-        let mut earlier = Snapshot::default();
-        earlier.counters.insert("hits".into(), 10);
-        earlier
-            .histograms
-            .insert("lat".into(), hist(vec![3, 1], 5, 2.0));
-
-        let mut later = Snapshot::default();
-        later.counters.insert("hits".into(), 25);
-        later.counters.insert("misses".into(), 4);
-        later.gauges.insert("residual".into(), 0.5);
-        later
-            .histograms
-            .insert("lat".into(), hist(vec![5, 2], 9, 3.5));
-
-        let d = later.diff(&earlier);
-        assert_eq!(d.counter("hits"), 15);
-        assert_eq!(d.counter("misses"), 4);
-        assert_eq!(d.gauge("residual"), Some(0.5));
-        let h = d.histogram("lat").unwrap();
-        assert_eq!(h.counts, vec![2, 1]);
-        assert_eq!(h.count, 4);
-        assert!((h.sum - 1.5).abs() < 1e-12);
     }
 
     #[test]

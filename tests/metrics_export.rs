@@ -23,6 +23,7 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "snapshot_rebuilds_total",
     "snapshot_patches_total",
     "snapshot_rebuild_seconds",
+    "snapshot_patch_seconds",
     "eigentrust_iterations",
     "eigentrust_residual",
     "eigentrust_warm_start",
@@ -70,6 +71,10 @@ fn instrumented_run_exports_all_contract_metric_families() {
     assert_eq!(
         snap.histogram("snapshot_rebuild_seconds").unwrap().count,
         snap.counter("snapshot_rebuilds_total")
+    );
+    assert_eq!(
+        snap.histogram("snapshot_patch_seconds").unwrap().count,
+        snap.counter("snapshot_patches_total")
     );
     assert_eq!(
         snap.gauge("eigentrust_iterations"),
