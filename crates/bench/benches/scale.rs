@@ -24,6 +24,13 @@
 //!    epoch-validated snapshot, Gaussian re-weighting, and the blocked
 //!    power iteration.
 //!
+//! 5. `eigentrust_{n}_seconds`: the reputation stage alone, warm. Plain
+//!    `EigenTrust` (32 pre-trusted nodes) holds 3 ratings per node from
+//!    one untimed cycle; each repetition records n/2 fresh ratings and
+//!    runs `end_cycle` — the fold, the view rebuild and the warm power
+//!    iteration. The full cycle above folds only `raters × 5` ratings into
+//!    a near-empty matrix, so it cannot see this stage's cost.
+//!
 //! `snapshot_bytes_per_node_{n}` records the resident snapshot footprint
 //! so the memory budget is tracked alongside the timings. Results land in
 //! `BENCH_scale.json` (override with `BENCH_SCALE_OUT`); keys ending in
@@ -125,6 +132,7 @@ struct SizeReport {
     rebuild: f64,
     rebuild_p1: f64,
     full_cycle: f64,
+    eigentrust: f64,
     bytes_per_node: f64,
     shard_count: usize,
 }
@@ -202,11 +210,46 @@ fn bench_size(n: usize, reps: u32) -> SizeReport {
     };
     cycle(&mut engine, &mut rng); // untimed warm-up: builds the ctx snapshot
     let full_cycle = measure(reps, || cycle(&mut engine, &mut rng));
+    drop(engine);
+    drop(ctx);
+
+    // 5. The reputation stage alone over a populated matrix.
+    let mut rng = ChaCha8Rng::seed_from_u64(47);
+    let rating = |rater: usize, rng: &mut ChaCha8Rng| {
+        let ratee = (rater + rng.gen_range(1..n)) % n;
+        let value = if rng.gen_bool(0.9) { 1.0 } else { -1.0 };
+        Rating::new(NodeId::from(rater), NodeId::from(ratee), value)
+    };
+    let mut et = EigenTrust::with_defaults(n, &pretrusted);
+    for rater in 0..n {
+        for _ in 0..3 {
+            et.record(rating(rater, &mut rng));
+        }
+    }
+    et.end_cycle();
+    let mut batches: Vec<Vec<Rating>> = (0..reps)
+        .map(|_| {
+            (0..n / 2)
+                .map(|_| {
+                    let rater = rng.gen_range(0..n);
+                    rating(rater, &mut rng)
+                })
+                .collect()
+        })
+        .collect();
+    let eigentrust = measure(reps, || {
+        for r in batches.pop().expect("one batch per repetition") {
+            et.record(r);
+        }
+        et.end_cycle();
+        std::hint::black_box(et.reputations());
+    });
 
     eprintln!(
         "[scale {n}] patch {patch:.4}s, rebuild {rebuild:.4}s (P={shard_count}), \
          rebuild_p1 {rebuild_p1:.4}s, full_cycle {full_cycle:.4}s, \
-         {bytes_per_node:.1} bytes/node"
+         eigentrust {eigentrust:.4}s ({} iterations), {bytes_per_node:.1} bytes/node",
+        et.last_iterations()
     );
     SizeReport {
         n,
@@ -214,6 +257,7 @@ fn bench_size(n: usize, reps: u32) -> SizeReport {
         rebuild,
         rebuild_p1,
         full_cycle,
+        eigentrust,
         bytes_per_node,
         shard_count,
     }
@@ -239,6 +283,10 @@ fn write_report(reports: &[SizeReport], reps: u32, sizes: &str) {
         fields.push(format!(
             "\"full_cycle_{}_seconds\": {:.9}",
             r.n, r.full_cycle
+        ));
+        fields.push(format!(
+            "\"eigentrust_{}_seconds\": {:.9}",
+            r.n, r.eigentrust
         ));
         fields.push(format!(
             "\"sharded_rebuild_speedup_{}\": {:.3}",

@@ -27,31 +27,41 @@
 //! MMM) — reproducing that vulnerability requires a faithful
 //! implementation, which this is.
 //!
-//! The implementation is incremental: the local-trust matrix is kept as
-//! sparse CSR-style satisfaction rows (sorted id/value slices, no per-node
-//! maps) whose positive-sum normalizers are updated in place as ratings
-//! fold in (the dense `C` is never materialized), together with an
-//! incrementally maintained **transpose** — for each ratee, the sorted
-//! raters and their satisfaction values. The transpose turns the
-//! `Cᵀ t` product into a gather: each output element `t'_j` is a private
-//! accumulation over column `j`, so the power iteration runs blocked over
-//! contiguous `j` ranges, rayon-parallel, with the L1 residual
-//! tree-reduced from per-block partials. Because a gather accumulates
-//! column `j` in the same ascending-rater order the historical row-scatter
-//! did, the blocked iteration is **bit-for-bit identical** to the serial
-//! one for any block size (only the residual's summation tree depends on
-//! the block count, which can at most shift the stopping decision when the
-//! residual lands within one ulp of `epsilon`). The transpose also makes
-//! [`reset_node`](crate::system::ReputationSystem::reset_node) O(degree)
-//! instead of an O(n) scan over all rows.
+//! The local-trust matrix is kept as sparse CSR-style satisfaction rows
+//! (sorted id/value slices, no per-node maps) with positive-sum
+//! normalizers `row_pos_i` (the dense `C` is never materialized). A
+//! cycle's ratings fold in by a stable sort of the buffer on
+//! `(rater, ratee)` and one merge per touched row, after which the
+//! touched normalizers are recomputed. Then, once per cycle, a counting
+//! sort over the rows rebuilds a flat **view** of `C` in gather form: for
+//! each ratee `j`, its raters `i` in ascending order with the
+//! pre-normalized weight `c_ij = s_ij / row_pos_i`, stored as `0.0` where
+//! `s_ij ≤ 0`. Each output element `t'_j` is then a private, branch-free
+//! accumulation over the contiguous arrays of column `j`, so the power
+//! iteration runs blocked over contiguous `j` ranges, rayon-parallel, with
+//! the L1 residual tree-reduced from per-block partials.
+//!
+//! The view reproduces, bit for bit, the iteration that skipped the zero
+//! terms and divided `s_ij / row_pos_i` on every step. Column `j` still
+//! sums from `a·p_j` over ascending `i` and ends with `w_default·p_j`, and
+//! `c_ij` is the same IEEE quotient. Every trust value is `≥ +0.0` (it is
+//! built from `a·p_j ≥ +0.0` plus non-negative products), so a term once
+//! skipped — `t_i = 0`, a row without positive trust, or `s_ij ≤ 0` — now
+//! adds `+0.0` to an accumulator that is never `−0.0`, which leaves it
+//! unchanged. Because the sum for column `j` never crosses a block, the
+//! blocked iteration is identical to the serial one for any block size
+//! (only the residual's summation tree depends on the block count, which
+//! can at most shift the stopping decision when the residual lands within
+//! one ulp of `epsilon`). Between cycles the rows only lose entries (in
+//! [`reset_node`](crate::system::ReputationSystem::reset_node)), so the
+//! last view's column of a node is a superset of its live raters, which
+//! makes the reset O(degree) instead of an O(n) scan over all rows.
 //!
 //! The power iteration warm-starts from the previous cycle's trust
 //! vector — sound because the damped map is a contraction with a unique
 //! fixed point, and visible as a drop in
 //! [`last_iterations`](EigenTrust::last_iterations) when the rating stream
 //! is sparse between cycles.
-
-use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 use socialtrust_socnet::NodeId;
@@ -116,11 +126,10 @@ impl Default for EigenTrustConfig {
     }
 }
 
-/// A sparse vector as parallel sorted slices: ascending ids with their
-/// values. The CSR-row building block for both the satisfaction matrix and
-/// its transpose — two `Vec`s per node instead of a `BTreeMap` (one heap
-/// block and cache-linear scans instead of a pointer-chased tree node per
-/// entry).
+/// A sparse row as parallel sorted slices: ascending ratee ids with their
+/// satisfaction sums — two `Vec`s per rater instead of a `BTreeMap` (one
+/// heap block and cache-linear scans instead of a pointer-chased tree node
+/// per entry).
 #[derive(Debug, Clone, Default)]
 struct SparseVec {
     ids: Vec<u32>,
@@ -131,17 +140,6 @@ impl SparseVec {
     #[inline]
     fn get(&self, id: u32) -> Option<f64> {
         self.ids.binary_search(&id).ok().map(|p| self.vals[p])
-    }
-
-    /// Accumulate `delta` into the entry for `id`, inserting it if absent.
-    fn add(&mut self, id: u32, delta: f64) {
-        match self.ids.binary_search(&id) {
-            Ok(p) => self.vals[p] += delta,
-            Err(p) => {
-                self.ids.insert(p, id);
-                self.vals.insert(p, delta);
-            }
-        }
     }
 
     /// Remove the entry for `id`; `true` if it existed.
@@ -156,9 +154,134 @@ impl SparseVec {
         }
     }
 
+    /// Fold one rater's ratings into this row: `run` is sorted by ratee
+    /// and holds each ratee's ratings in arrival order. One merge of the
+    /// two sorted sequences into `merged`, copied back. An existing pair
+    /// continues its left-to-right sum; a new pair starts from its first
+    /// rating, not `0.0 + value` (which would turn a `−0.0` rating into
+    /// `+0.0`).
+    fn merge(&mut self, run: &[Rating], merged: &mut SparseVec) {
+        merged.ids.clear();
+        merged.vals.clear();
+        let mut p = 0;
+        let mut k = 0;
+        while k < run.len() {
+            let j = run[k].ratee.0;
+            while p < self.ids.len() && self.ids[p] < j {
+                merged.ids.push(self.ids[p]);
+                merged.vals.push(self.vals[p]);
+                p += 1;
+            }
+            let mut s = if self.ids.get(p) == Some(&j) {
+                p += 1;
+                self.vals[p - 1] + run[k].value
+            } else {
+                run[k].value
+            };
+            k += 1;
+            while k < run.len() && run[k].ratee.0 == j {
+                s += run[k].value;
+                k += 1;
+            }
+            merged.ids.push(j);
+            merged.vals.push(s);
+        }
+        merged.ids.extend_from_slice(&self.ids[p..]);
+        merged.vals.extend_from_slice(&self.vals[p..]);
+        self.ids.clone_from(&merged.ids);
+        self.vals.clone_from(&merged.vals);
+    }
+
     fn bytes(&self) -> usize {
         self.ids.capacity() * std::mem::size_of::<u32>()
             + self.vals.capacity() * std::mem::size_of::<f64>()
+    }
+}
+
+/// The local-trust matrix `C` in gather form, rebuilt from the rows at
+/// every `end_cycle` and read by the power iteration. Its vectors are
+/// reused across cycles.
+#[derive(Debug, Clone, Default)]
+struct TrustView {
+    /// Column `j` spans `raters[offsets[j]..offsets[j + 1]]`.
+    offsets: Vec<u32>,
+    /// The raters `i` of each column, ascending.
+    raters: Vec<u32>,
+    /// `c_ij = s_ij / row_pos_i`, parallel to `raters`; `0.0` where
+    /// `s_ij ≤ 0` (which covers every entry of a row with `row_pos_i ≤ 0`,
+    /// since `s_ij > 0` implies `row_pos_i ≥ s_ij`).
+    weights: Vec<f64>,
+    /// The rows with `row_pos_i ≤ 0`, ascending: their trust defaults to
+    /// `p`.
+    default_rows: Vec<u32>,
+}
+
+impl TrustView {
+    /// An empty view of `n` columns.
+    fn empty(n: usize) -> Self {
+        TrustView {
+            offsets: vec![0; n + 1],
+            ..TrustView::default()
+        }
+    }
+
+    /// Rebuild from `sat` by a counting sort: count each column, turn the
+    /// counts into starts, scatter the rows in ascending order (so each
+    /// column's raters come out ascending) while advancing the starts to
+    /// ends, then shift the ends back into starts.
+    fn rebuild(&mut self, sat: &[SparseVec], row_pos: &[f64]) {
+        let n = sat.len();
+        let nnz: usize = sat.iter().map(|row| row.ids.len()).sum();
+        assert!(
+            u32::try_from(nnz).is_ok(),
+            "local-trust matrix has {nnz} entries, more than u32 offsets hold"
+        );
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        for row in sat {
+            for &j in &row.ids {
+                self.offsets[j as usize + 1] += 1;
+            }
+        }
+        for j in 1..=n {
+            self.offsets[j] += self.offsets[j - 1];
+        }
+        // Sized exactly (grown only when the matrix grows), so the view
+        // carries no amortized-doubling slack.
+        self.raters.clear();
+        self.raters.reserve_exact(nnz);
+        self.raters.resize(nnz, 0);
+        self.weights.clear();
+        self.weights.reserve_exact(nnz);
+        self.weights.resize(nnz, 0.0);
+        self.default_rows.clear();
+        for (i, (row, &pos)) in sat.iter().zip(row_pos).enumerate() {
+            if pos <= 0.0 {
+                self.default_rows.push(i as u32);
+            }
+            for (&j, &s) in row.ids.iter().zip(&row.vals) {
+                let slot = &mut self.offsets[j as usize];
+                self.raters[*slot as usize] = i as u32;
+                self.weights[*slot as usize] = if s > 0.0 { s / pos } else { 0.0 };
+                *slot += 1;
+            }
+        }
+        for j in (1..=n).rev() {
+            self.offsets[j] = self.offsets[j - 1];
+        }
+        self.offsets[0] = 0;
+    }
+
+    /// The raters of column `j` (a superset of its live raters after
+    /// resets, until the next rebuild).
+    fn column(&self, j: usize) -> std::ops::Range<usize> {
+        self.offsets[j] as usize..self.offsets[j + 1] as usize
+    }
+
+    fn bytes(&self) -> usize {
+        (self.offsets.capacity() + self.raters.capacity() + self.default_rows.capacity())
+            * std::mem::size_of::<u32>()
+            + self.weights.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -179,7 +302,7 @@ struct EigenTrustTelemetry {
     /// `eigentrust_cycles_total`: completed reputation updates.
     cycles_total: Counter,
     /// `eigentrust_bytes_per_node`: heap bytes of the sparse matrix (rows
-    /// + transpose + vectors) per node, refreshed after every update.
+    /// + view + vectors) per node, refreshed after every update.
     bytes_per_node: Gauge,
     sink: EventSink,
     /// Decision-provenance tracer: when a cycle trace is live, each update
@@ -213,15 +336,12 @@ pub struct EigenTrust {
     /// Accumulated local satisfaction sums `s_ij`: CSR-style sparse rows
     /// (sorted ratee ids + values) per rater.
     sat: Vec<SparseVec>,
-    /// The transpose, maintained incrementally alongside `sat`: for each
-    /// ratee `j`, the sorted rater ids `i` with their `s_ij`. Column `j`
-    /// of `C` in gather form — what the blocked power iteration reads —
-    /// and the O(degree) index behind `reset_node`.
-    cols: Vec<SparseVec>,
     /// `row_pos[i] = Σ_j max(s_ij, 0)` — the local-trust normalizer of row
-    /// `i`, maintained in place as ratings are folded in so the power
-    /// iteration never rescans (let alone materializes) the full matrix.
+    /// `i`, recomputed for the rows a cycle's ratings touch.
     row_pos: Vec<f64>,
+    /// `C` in gather form as of the last `end_cycle`: what the blocked
+    /// power iteration reads, and the O(degree) index behind `reset_node`.
+    view: TrustView,
     /// Ratings buffered since the last `end_cycle`.
     buffer: Vec<Rating>,
     /// Global trust vector from the last `end_cycle`.
@@ -280,8 +400,8 @@ impl EigenTrust {
             config,
             pretrust,
             sat: vec![SparseVec::default(); n],
-            cols: vec![SparseVec::default(); n],
             row_pos: vec![0.0; n],
+            view: TrustView::empty(n),
             buffer: Vec::new(),
             reputations,
             warm: false,
@@ -322,12 +442,12 @@ impl EigenTrust {
         self.sat[rater.index()].get(ratee.0).unwrap_or(0.0)
     }
 
-    /// Heap bytes held by the sparse matrix (rows + transpose), the dense
+    /// Heap bytes held by the sparse matrix (rows + view), the dense
     /// vectors, and the rating buffer — the figure the
     /// `eigentrust_bytes_per_node` gauge divides by `n`.
     pub fn bytes(&self) -> usize {
         self.sat.iter().map(SparseVec::bytes).sum::<usize>()
-            + self.cols.iter().map(SparseVec::bytes).sum::<usize>()
+            + self.view.bytes()
             + (self.pretrust.capacity() + self.reputations.capacity() + self.row_pos.capacity())
                 * std::mem::size_of::<f64>()
             + self.buffer.capacity() * std::mem::size_of::<Rating>()
@@ -342,22 +462,43 @@ impl EigenTrust {
         self.row_pos[i] = self.sat[i].vals.iter().map(|&s| s.max(0.0)).sum();
     }
 
+    /// Fold the buffered ratings into the rows: a stable sort on
+    /// `(rater, ratee)` keeps each pair's ratings in arrival order, so
+    /// every `s_ij` is the same left-to-right sum a per-rating insert
+    /// produced; then one merge per touched row, and its normalizer is
+    /// recomputed.
+    fn fold_buffer(&mut self) {
+        // Swap the buffer out (and back) so its allocation survives the
+        // cycle instead of being reallocated every time.
+        let mut buffer = std::mem::take(&mut self.buffer);
+        buffer.retain(|r| r.rater != r.ratee); // self-ratings are ignored, as in EigenTrust
+        buffer.sort_by_key(|r| (r.rater, r.ratee));
+        let mut merged = SparseVec::default();
+        for run in buffer.chunk_by(|x, y| x.rater == y.rater) {
+            let i = run[0].rater.index();
+            self.sat[i].merge(run, &mut merged);
+            self.refresh_row_pos(i);
+        }
+        buffer.clear();
+        self.buffer = buffer;
+    }
+
     /// Run the damped power iteration to the global trust vector as a
-    /// blocked **gather** over the transpose — the matrix `C` is never
-    /// materialized. Each block owns a contiguous `j` range and computes
+    /// blocked, branch-free **gather** over the view — the matrix `C` is
+    /// never materialized. Each block owns a contiguous `j` range and
+    /// computes
     ///
     /// ```text
-    /// next_j = a·p_j + Σ_{i asc} (1-a)·t_i·(s_ij / row_pos_i) + (1-a)·m·p_j
+    /// next_j = a·p_j + Σ_{i asc} ((1-a)·t_i)·c_ij + (1-a)·m·p_j
     /// ```
     ///
     /// where `m` (the trust mass of raters whose row defaults to `p`) is
-    /// accumulated once per iteration in a sequential ascending-`i` pass.
-    /// Column `j`'s sum runs over ascending `i` — the exact order the
-    /// historical row-major scatter deposited into `next[j]` — so every
-    /// element is bit-for-bit identical to the serial result for any block
-    /// size. The L1 residual is tree-reduced: per-block partial sums (each
-    /// the same left-to-right chain `l1_distance` uses) folded in
-    /// ascending block order.
+    /// summed once per iteration over the view's ascending default rows.
+    /// Column `j`'s sum runs over ascending `i`, so every element is the
+    /// same for any block size (see the module docs for why the terms that
+    /// are `+0.0` leave it unchanged). The L1 residual is tree-reduced:
+    /// per-block partial sums (each the same left-to-right chain
+    /// `l1_distance` uses) folded in ascending block order.
     fn power_iterate(&mut self) {
         let n = self.pretrust.len();
         if n == 0 {
@@ -371,62 +512,38 @@ impl EigenTrust {
             self.pretrust.clone()
         };
         let block = self.config.block_size.max(1);
-        let nblocks = n.div_ceil(block);
+        let (view, p) = (&self.view, &self.pretrust);
         let mut next = vec![0.0; n];
         let mut iters = 0;
         let residual;
         loop {
-            // Trust mass held by raters whose row defaults to p, in the
-            // same ascending skip-zero chain the row-major loop used.
-            let mut default_mass = 0.0;
-            for (i, &ti) in t.iter().enumerate() {
-                if ti == 0.0 {
-                    continue;
-                }
-                if self.row_pos[i] <= 0.0 {
-                    default_mass += ti;
-                }
-            }
+            let default_mass = view
+                .default_rows
+                .iter()
+                .fold(0.0, |m, &i| m + t[i as usize]);
             let w_default = (1.0 - a) * default_mass;
             let t_ref: &[f64] = &t;
-            let compute_block = |b: usize| -> (Vec<f64>, f64) {
+            let gather = |(b, out): (usize, &mut [f64])| -> f64 {
                 let start = b * block;
-                let end = (start + block).min(n);
-                let mut out = Vec::with_capacity(end - start);
-                for j in start..end {
-                    let mut acc = self.pretrust[j] * a;
-                    let col = &self.cols[j];
-                    for (idx, &iu) in col.ids.iter().enumerate() {
-                        let ti = t_ref[iu as usize];
-                        if ti == 0.0 {
-                            continue;
-                        }
-                        let pos = self.row_pos[iu as usize];
-                        if pos > 0.0 {
-                            let s = col.vals[idx];
-                            if s > 0.0 {
-                                acc += ((1.0 - a) * ti) * (s / pos);
-                            }
-                        }
+                for (k, x) in out.iter_mut().enumerate() {
+                    let j = start + k;
+                    let col = view.column(j);
+                    let mut acc = p[j] * a;
+                    for (&i, &c) in view.raters[col.clone()].iter().zip(&view.weights[col]) {
+                        acc += ((1.0 - a) * t_ref[i as usize]) * c;
                     }
-                    if default_mass != 0.0 {
-                        acc += w_default * self.pretrust[j];
-                    }
-                    out.push(acc);
+                    *x = acc + w_default * p[j];
                 }
-                let partial = l1_distance(&out, &t_ref[start..end]);
-                (out, partial)
+                l1_distance(out, &t_ref[start..start + out.len()])
             };
-            let blocks: Vec<(Vec<f64>, f64)> = if self.config.parallel && nblocks > 1 {
+            let blocks: Vec<(usize, &mut [f64])> = next.chunks_mut(block).enumerate().collect();
+            let partials: Vec<f64> = if self.config.parallel && blocks.len() > 1 {
                 use rayon::prelude::*;
-                (0..nblocks).into_par_iter().map(compute_block).collect()
+                blocks.into_par_iter().map(gather).collect()
             } else {
-                (0..nblocks).map(compute_block).collect()
+                blocks.into_iter().map(gather).collect()
             };
-            let delta: f64 = blocks.iter().map(|(_, partial)| *partial).sum();
-            for (b, (chunk, _)) in blocks.into_iter().enumerate() {
-                next[b * block..b * block + chunk.len()].copy_from_slice(&chunk);
-            }
+            let delta: f64 = partials.iter().sum();
             iters += 1;
             std::mem::swap(&mut t, &mut next);
             if delta < self.config.epsilon || iters >= self.config.max_iterations {
@@ -480,22 +597,8 @@ impl ReputationSystem for EigenTrust {
     }
 
     fn end_cycle(&mut self) {
-        let mut touched_rows: BTreeSet<usize> = BTreeSet::new();
-        // Swap the buffer out (and back) so its allocation survives the
-        // cycle instead of being reallocated every time.
-        let mut buffer = std::mem::take(&mut self.buffer);
-        for r in buffer.drain(..) {
-            if r.rater == r.ratee {
-                continue; // self-ratings are ignored, as in EigenTrust
-            }
-            self.sat[r.rater.index()].add(r.ratee.0, r.value);
-            self.cols[r.ratee.index()].add(r.rater.0, r.value);
-            touched_rows.insert(r.rater.index());
-        }
-        self.buffer = buffer;
-        for i in touched_rows {
-            self.refresh_row_pos(i);
-        }
+        self.fold_buffer();
+        self.view.rebuild(&self.sat, &self.row_pos);
         // `None` when unattached, the tracer is disabled, or this cycle is
         // unsampled — the iteration then runs exactly as before.
         let span = self
@@ -523,18 +626,17 @@ impl ReputationSystem for EigenTrust {
 
     fn reset_node(&mut self, node: NodeId) {
         let ni = node.index();
-        // The transpose column lists exactly the raters whose rows hold an
-        // entry for `node`, so the wipe is O(in-degree + out-degree) — no
-        // scan over all n rows.
-        let raters = std::mem::take(&mut self.cols[ni]);
-        for &i in &raters.ids {
-            self.sat[i as usize].remove(node.0);
-            self.refresh_row_pos(i as usize);
+        // Column `ni` of the last view lists every rater whose row still
+        // holds an entry for `node` (rows only lose entries between
+        // cycles), so the wipe is O(in-degree + out-degree) — no scan over
+        // all n rows. The next `end_cycle` rebuilds the view.
+        for k in self.view.column(ni) {
+            let i = self.view.raters[k] as usize;
+            if self.sat[i].remove(node.0) {
+                self.refresh_row_pos(i);
+            }
         }
-        let row = std::mem::take(&mut self.sat[ni]);
-        for &j in &row.ids {
-            self.cols[j as usize].remove(node.0);
-        }
+        self.sat[ni] = SparseVec::default();
         self.row_pos[ni] = 0.0;
         self.buffer.retain(|r| r.rater != node && r.ratee != node);
         // The old fixed point no longer reflects the matrix; restart the
@@ -900,6 +1002,40 @@ mod tests {
         }
     }
 
+    /// The view after a rebuild is exactly the transpose of `sat`: each
+    /// column lists its raters ascending with `c_ij` as the rows give it,
+    /// and the default rows are those without positive trust.
+    fn assert_view_is_transpose(sys: &EigenTrust) {
+        let n = sys.sat.len();
+        let mut default_rows = Vec::new();
+        let mut cols: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+        for (i, row) in sys.sat.iter().enumerate() {
+            let pos = sys.row_pos[i];
+            let fresh: f64 = row.vals.iter().map(|&s| s.max(0.0)).sum();
+            assert_eq!(pos > 0.0, fresh > 0.0, "row_pos[{i}] is stale");
+            if pos > 0.0 {
+                assert_eq!(pos.to_bits(), fresh.to_bits(), "row_pos[{i}] is stale");
+            } else {
+                default_rows.push(i as u32);
+            }
+            for (&j, &s) in row.ids.iter().zip(&row.vals) {
+                let c = if s > 0.0 { s / pos } else { 0.0 };
+                cols[j as usize].push((i as u32, c.to_bits()));
+            }
+        }
+        assert_eq!(sys.view.offsets.len(), n + 1);
+        assert_eq!(sys.view.default_rows, default_rows);
+        for (j, expected) in cols.iter().enumerate() {
+            let range = sys.view.column(j);
+            let got: Vec<(u32, u64)> = sys.view.raters[range.clone()]
+                .iter()
+                .zip(&sys.view.weights[range])
+                .map(|(&i, c)| (i, c.to_bits()))
+                .collect();
+            assert_eq!(&got, expected, "column {j}");
+        }
+    }
+
     #[test]
     fn transpose_stays_consistent_through_reset() {
         let mut sys = EigenTrust::with_defaults(16, &[NodeId(0)]);
@@ -907,16 +1043,27 @@ mod tests {
             rate(&mut sys, i, j, v);
         }
         sys.end_cycle();
+        assert_view_is_transpose(&sys);
+        // Reset node 5, then, in the same interval, one of its raters: the
+        // first reset removed that rater's entry for 5, and the second
+        // reads its column from the view the first left stale.
+        let rater = (0..16u32)
+            .find(|&i| i != 5 && sys.sat[i as usize].get(5).is_some())
+            .expect("the stream rates node 5");
         sys.reset_node(NodeId(5));
+        sys.reset_node(NodeId(rater));
         for i in 0..16u32 {
-            for j in 0..16u32 {
-                let row = sys.sat[i as usize].get(j);
-                let col = sys.cols[j as usize].get(i);
-                assert_eq!(row, col, "sat[{i}][{j}] vs cols[{j}][{i}]");
+            for gone in [5, rater] {
+                assert_eq!(sys.local_satisfaction(NodeId(i), NodeId(gone)), 0.0);
+                assert_eq!(sys.local_satisfaction(NodeId(gone), NodeId(i)), 0.0);
+                assert_eq!(sys.sat[i as usize].get(gone), None);
             }
-            assert_eq!(sys.local_satisfaction(NodeId(i), NodeId(5)), 0.0);
-            assert_eq!(sys.local_satisfaction(NodeId(5), NodeId(i)), 0.0);
         }
+        assert!(sys.sat[5].ids.is_empty() && sys.sat[rater as usize].ids.is_empty());
+        rate(&mut sys, 5, 1, 1.0);
+        rate(&mut sys, 2, rater, 1.0);
+        sys.end_cycle();
+        assert_view_is_transpose(&sys);
     }
 
     #[test]

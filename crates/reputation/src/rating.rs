@@ -197,18 +197,15 @@ impl RatingLedger {
             .retain(|&(rater, ratee), _| rater != node && ratee != node);
     }
 
-    /// All distinct ratees node `rater` has rated over its lifetime.
+    /// All distinct ratees node `rater` has rated over its lifetime,
+    /// ascending — one walk over the rater's key range.
     /// SocialTrust uses this set to compute the rater's personal closeness /
     /// similarity statistics (`Ω̄`, `maxΩ`, `minΩ` in Eqs. (6) and (8)).
     pub fn rated_by(&self, rater: NodeId) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .lifetime
-            .keys()
-            .filter(|(r, _)| *r == rater)
-            .map(|&(_, ratee)| ratee)
-            .collect();
-        out.sort_unstable();
-        out
+        self.lifetime
+            .range((rater, NodeId(0))..=(rater, NodeId(u32::MAX)))
+            .map(|(&(_, ratee), _)| ratee)
+            .collect()
     }
 }
 

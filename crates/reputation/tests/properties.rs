@@ -1,5 +1,7 @@
 //! Property-based tests for the reputation engines.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use socialtrust_reputation::prelude::*;
 use socialtrust_socnet::NodeId;
@@ -17,6 +19,153 @@ fn ratings_strategy(n: u32) -> impl Strategy<Value = Vec<Rating>> {
             .map(|(a, b, v)| Rating::new(NodeId(a), NodeId(b), v))
             .collect()
     })
+}
+
+/// A reference EigenTrust written out plainly, for the bit-exact oracle
+/// test: a `BTreeMap` satisfaction matrix folded one rating at a time, and
+/// a power iteration that scatters each row in ascending `i`, computing
+/// `s / pos` per entry and skipping zero trust, rows without positive trust
+/// (their mass goes to `p`) and non-positive satisfaction. One block: the
+/// residual is one left-to-right L1 sum.
+struct ReferenceEigenTrust {
+    a: f64,
+    epsilon: f64,
+    max_iterations: usize,
+    p: Vec<f64>,
+    sat: BTreeMap<(u32, u32), f64>,
+    buffer: Vec<Rating>,
+    t: Vec<f64>,
+    warm: bool,
+    iterations: usize,
+}
+
+impl ReferenceEigenTrust {
+    fn new(n: usize, pretrusted: &[NodeId], config: EigenTrustConfig) -> Self {
+        let mut p = vec![0.0; n];
+        if pretrusted.is_empty() {
+            p.iter_mut().for_each(|v| *v = 1.0 / n as f64);
+        } else {
+            for q in pretrusted {
+                p[q.index()] = 1.0 / pretrusted.len() as f64;
+            }
+        }
+        ReferenceEigenTrust {
+            a: config.pretrust_weight,
+            epsilon: config.epsilon,
+            max_iterations: config.max_iterations,
+            p,
+            sat: BTreeMap::new(),
+            buffer: Vec::new(),
+            t: vec![0.0; n],
+            warm: false,
+            iterations: 0,
+        }
+    }
+
+    fn reset_node(&mut self, node: NodeId) {
+        self.sat.retain(|&(i, j), _| i != node.0 && j != node.0);
+        self.buffer.retain(|r| r.rater != node && r.ratee != node);
+        self.warm = false;
+    }
+
+    fn end_cycle(&mut self) {
+        for r in self.buffer.drain(..) {
+            if r.rater == r.ratee {
+                continue;
+            }
+            self.sat
+                .entry((r.rater.0, r.ratee.0))
+                .and_modify(|s| *s += r.value)
+                .or_insert(r.value);
+        }
+        let (n, a) = (self.p.len(), self.a);
+        let mut pos = vec![0.0; n];
+        for (&(i, _), &s) in &self.sat {
+            pos[i as usize] += s.max(0.0);
+        }
+        let mut t = if self.warm {
+            self.t.clone()
+        } else {
+            self.p.clone()
+        };
+        let mut iterations = 0;
+        loop {
+            let mut next: Vec<f64> = self.p.iter().map(|&pj| pj * a).collect();
+            let mut default_mass = 0.0;
+            for (i, &ti) in t.iter().enumerate() {
+                if ti == 0.0 {
+                    continue;
+                }
+                if pos[i] <= 0.0 {
+                    default_mass += ti;
+                    continue;
+                }
+                for (&(_, j), &s) in self.sat.range((i as u32, 0)..=(i as u32, u32::MAX)) {
+                    if s > 0.0 {
+                        next[j as usize] += ((1.0 - a) * ti) * (s / pos[i]);
+                    }
+                }
+            }
+            if default_mass != 0.0 {
+                let w = (1.0 - a) * default_mass;
+                for (x, &pj) in next.iter_mut().zip(&self.p) {
+                    *x += w * pj;
+                }
+            }
+            let delta: f64 = next.iter().zip(&t).map(|(x, y)| (x - y).abs()).sum();
+            iterations += 1;
+            t = next;
+            if delta < self.epsilon || iterations >= self.max_iterations {
+                break;
+            }
+        }
+        self.t = t;
+        self.warm = true;
+        self.iterations = iterations;
+    }
+}
+
+/// One step of a multi-cycle stream.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Rate(u32, u32, f64),
+    Reset(u32),
+    EndCycle,
+}
+
+/// Rating values whose float sum depends on the order they are added in
+/// (`0.1 + 0.2 + 0.7 ≠ 0.7 + 0.2 + 0.1`), plus both zeros.
+const ORDER_SENSITIVE: [f64; 8] = [0.1, 0.2, 0.7, -0.3, 0.0, -0.0, 1.0, -1.0];
+
+/// A stream over `n` nodes: mostly ratings (self-ratings included, and
+/// pairs repeating within a cycle since `n` is small), with interleaved
+/// resets and cycle ends, always closed by a final cycle end.
+fn steps_strategy(n: u32) -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec((0u32..16, 0..n, 0..n, 0..ORDER_SENSITIVE.len()), 0..160).prop_map(
+        |raw| {
+            raw.into_iter()
+                .map(|(kind, i, j, v)| match kind {
+                    0 => Step::Reset(i),
+                    1 => Step::EndCycle,
+                    _ => Step::Rate(i, j, ORDER_SENSITIVE[v]),
+                })
+                .chain(std::iter::once(Step::EndCycle))
+                .collect()
+        },
+    )
+}
+
+/// A random ledger history: recorded ratings, interval ends and resets.
+fn ledger_ops_strategy() -> impl Strategy<Value = Vec<(u8, u32, u32, f64)>> {
+    proptest::collection::vec(
+        (
+            0u8..12,
+            0u32..9,
+            0u32..9,
+            prop_oneof![Just(1.0f64), Just(-1.0f64), Just(0.0f64)],
+        ),
+        0..120,
+    )
 }
 
 proptest! {
@@ -160,6 +309,83 @@ proptest! {
                     "cycle {}, node {}: blocked gather not bit-identical", c, i
                 );
             }
+        }
+    }
+
+    /// Bit-exact oracle: over multi-cycle streams with repeated pairs,
+    /// order-sensitive values, zeros, self-ratings and resets, the engine's
+    /// trust vector equals the reference's to the bit every cycle, after
+    /// the same number of iterations — warm starts and the cold start that
+    /// follows a reset included.
+    #[test]
+    fn eigentrust_matches_reference_bit_for_bit(
+        steps in steps_strategy(6),
+        uniform in proptest::bool::ANY,
+        a in prop_oneof![Just(0.1f64), Just(0.5f64)],
+    ) {
+        let pre: &[NodeId] = if uniform { &[] } else { &[NodeId(0), NodeId(2)] };
+        let config = EigenTrustConfig {
+            pretrust_weight: a,
+            block_size: usize::MAX,
+            ..EigenTrustConfig::default()
+        };
+        let mut engine = EigenTrust::new(6, pre, config);
+        let mut reference = ReferenceEigenTrust::new(6, pre, config);
+        for (k, step) in steps.into_iter().enumerate() {
+            match step {
+                Step::Rate(i, j, v) => {
+                    let r = Rating::new(NodeId(i), NodeId(j), v);
+                    engine.record(r);
+                    reference.buffer.push(r);
+                }
+                Step::Reset(i) => {
+                    engine.reset_node(NodeId(i));
+                    reference.reset_node(NodeId(i));
+                }
+                Step::EndCycle => {
+                    engine.end_cycle();
+                    reference.end_cycle();
+                    prop_assert_eq!(
+                        engine.last_iterations(), reference.iterations,
+                        "step {}: iteration counts differ", k
+                    );
+                    for (j, (x, y)) in engine.reputations().iter().zip(&reference.t).enumerate() {
+                        prop_assert_eq!(
+                            x.to_bits(), y.to_bits(),
+                            "step {}, node {}: engine {} vs reference {}", k, j, x, y
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `rated_by` walks the rater's key range; it must list exactly what
+    /// filtering every lifetime key for that rater lists.
+    #[test]
+    fn ledger_rated_by_matches_a_full_key_filter(ops in ledger_ops_strategy()) {
+        let mut ledger = RatingLedger::new();
+        let mut lifetime: BTreeMap<(u32, u32), ()> = BTreeMap::new();
+        for (kind, i, j, v) in ops {
+            match kind {
+                0 => ledger.end_interval(),
+                1 => {
+                    ledger.reset_node(NodeId(i));
+                    lifetime.retain(|&(a, b), _| a != i && b != i);
+                }
+                _ => {
+                    ledger.record(&Rating::new(NodeId(i), NodeId(j), v));
+                    lifetime.insert((i, j), ());
+                }
+            }
+        }
+        for rater in 0..10u32 {
+            let expected: Vec<NodeId> = lifetime
+                .keys()
+                .filter(|(a, _)| *a == rater)
+                .map(|&(_, b)| NodeId(b))
+                .collect();
+            prop_assert_eq!(ledger.rated_by(NodeId(rater)), expected);
         }
     }
 

@@ -15,7 +15,11 @@
 //!   lines are counted and logged: invalid UTF-8 under
 //!   `server_events_invalid_utf8_total`, parse failures (including JSON
 //!   nested deeper than the parser's 128-level cap) under
-//!   `server_events_malformed_total`.
+//!   `server_events_malformed_total`;
+//! * a line longer than [`MAX_LINE`] (1 MiB) is malformed without being
+//!   parsed. Once the carried partial line passes the cap it is dropped,
+//!   counted, and the bytes up to its newline are dropped as they arrive,
+//!   so the buffer never holds more than `MAX_LINE + CHUNK` bytes.
 //!
 //! Rotation: at end of file the tail checks whether the log is now shorter
 //! than its read offset (copy-truncate) or its path names a different file
@@ -38,6 +42,16 @@ use crate::ServerState;
 /// Bytes asked for per read.
 const CHUNK: usize = 64 * 1024;
 
+/// Longest line framed, in bytes before the newline. A longer line is
+/// counted as malformed and skipped, so a log line that never ends cannot
+/// grow the buffer past `MAX_LINE + CHUNK`.
+const MAX_LINE: usize = 1024 * 1024;
+
+/// The malformed-line reason of a line longer than [`MAX_LINE`].
+fn too_long() -> String {
+    format!("line longer than {MAX_LINE} bytes")
+}
+
 /// What framing produced, in log order: the parsed events, the reason each
 /// malformed line failed to parse, and the byte length of each line that
 /// was not valid UTF-8. Blank and whitespace-only lines produce nothing.
@@ -52,12 +66,19 @@ struct Framed {
 /// return how many bytes those lines span; the bytes after them are a
 /// partial line. The caller guarantees `bytes[..scanned]` holds no
 /// newline, so the search starts there. Lines are trimmed (which also
-/// strips a `\r` before the newline) before they are parsed.
+/// strips a `\r` before the newline) before they are parsed; a line
+/// longer than [`MAX_LINE`] is malformed unparsed.
 fn frame_lines(bytes: &[u8], scanned: usize, out: &mut Framed) -> usize {
     let mut start = 0;
     let mut from = scanned;
     while let Some(at) = bytes[from..].iter().position(|&b| b == b'\n') {
         let end = from + at;
+        if end - start > MAX_LINE {
+            out.malformed.push(too_long());
+            start = end + 1;
+            from = start;
+            continue;
+        }
         match std::str::from_utf8(&bytes[start..end]) {
             Err(_) => out.invalid_utf8.push(end - start),
             Ok(line) => {
@@ -84,6 +105,10 @@ struct LineBuffer {
     /// the next read, kept initialised so a read need not zero a chunk.
     buf: Vec<u8>,
     len: usize,
+    /// The partial line grew past [`MAX_LINE`]: it was dropped and counted,
+    /// and the bytes up to and including its newline are dropped as they
+    /// arrive.
+    skipping: bool,
 }
 
 impl LineBuffer {
@@ -102,10 +127,30 @@ impl LineBuffer {
         }
         let n = src.read(&mut self.buf[carried..carried + max])?;
         self.len = carried + n;
-        let consumed = frame_lines(&self.buf[..self.len], carried, out);
+        // While skipping nothing is carried, so framing starts after the
+        // over-long line's newline with nothing yet scanned.
+        let mut start = 0;
+        if self.skipping {
+            match self.buf[..self.len].iter().position(|&b| b == b'\n') {
+                Some(at) => {
+                    start = at + 1;
+                    self.skipping = false;
+                }
+                None => {
+                    self.len = 0;
+                    return Ok(n);
+                }
+            }
+        }
+        let consumed = start + frame_lines(&self.buf[start..self.len], carried, out);
         if consumed > 0 {
             self.buf.copy_within(consumed..self.len, 0);
             self.len -= consumed;
+        }
+        if self.len > MAX_LINE {
+            out.malformed.push(too_long());
+            self.len = 0;
+            self.skipping = true;
         }
         Ok(n)
     }
@@ -331,6 +376,23 @@ mod tests {
             prop_assert_eq!(&chunked, &whole);
             prop_assert_eq!(lines.partial(), &log[consumed..]);
         }
+    }
+
+    #[test]
+    fn line_longer_than_the_cap_is_skipped_with_bounded_memory() {
+        let mut log = vec![b'x'; MAX_LINE + 3 * CHUNK];
+        log.push(b'\n');
+        log.extend(line(0, 7));
+        let mut out = Framed::default();
+        let mut lines = LineBuffer::default();
+        let mut src: &[u8] = &log;
+        while lines.read_from(&mut src, CHUNK, &mut out).unwrap() > 0 {
+            assert!(lines.buf.len() <= MAX_LINE + CHUNK, "{}", lines.buf.len());
+        }
+        assert_eq!(out.malformed, vec![too_long()]);
+        assert_eq!(out.events.len(), 1, "{out:?}");
+        assert!(out.invalid_utf8.is_empty());
+        assert!(lines.partial().is_empty());
     }
 
     #[test]

@@ -573,6 +573,36 @@ fn overly_nested_line_is_malformed_not_fatal() {
 }
 
 #[test]
+fn over_long_line_is_malformed_not_buffered() {
+    let dir = temp_dir("longline");
+    let config = ServiceConfig {
+        nodes: 8,
+        interests: 4,
+        pretrusted: 2,
+        ..ServiceConfig::default()
+    };
+    let handle = boot(&dir, config, Duration::from_millis(20));
+    let addr = handle.addr();
+    // A 2 MiB line, twice the framing cap: a valid event padded with an
+    // unknown field, so only the cap keeps it from being applied.
+    let padded = format!(
+        r#"{{"type":"edge_add","a":1,"b":2,"pad":"{}"}}"#,
+        "x".repeat(2 << 20)
+    );
+    append_lines(
+        &dir.join("events.jsonl"),
+        &[padded, r#"{"type":"edge_add","a":3,"b":4}"#.to_owned()],
+    );
+    wait_for_applied(addr, 1);
+    let (status, body) = http_get(addr, "/healthz");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_number(&body, "events_applied") as u64, 1, "{body}");
+    assert_eq!(json_number(&body, "events_malformed") as u64, 1, "{body}");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn truncated_or_replaced_log_is_reopened() {
     let dir = temp_dir("rotate");
     let config = ServiceConfig {

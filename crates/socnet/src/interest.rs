@@ -231,10 +231,15 @@ impl InterestProfile {
     /// requests that targeted category `l` (0 when the node has made no
     /// requests).
     pub fn request_weight(&self, id: InterestId) -> f64 {
+        self.share(self.requests.get(&id).copied().unwrap_or(0))
+    }
+
+    /// `count` as a fraction of all requests (0 when there are none).
+    fn share(&self, count: u64) -> f64 {
         if self.total_requests == 0 {
             return 0.0;
         }
-        self.requests.get(&id).copied().unwrap_or(0) as f64 / self.total_requests as f64
+        count as f64 / self.total_requests as f64
     }
 
     /// The *effective* interest set: declared interests united with every
@@ -248,11 +253,24 @@ impl InterestProfile {
     /// `(category, ws(i,l))` over the effective set, in ascending category
     /// order — exactly the per-node rows the interned interest tables of
     /// [`crate::snapshot::GraphSnapshot`] are built from. Declared-but-never-
-    /// requested categories appear with weight `0.0`.
+    /// requested categories appear with weight `0.0`. One merge of the
+    /// declared slice with the request map (both sorted); allocates nothing.
     pub fn effective_weights(&self) -> impl Iterator<Item = (InterestId, f64)> + '_ {
-        self.effective_set()
-            .into_iter()
-            .map(move |id| (id, self.request_weight(id)))
+        let mut declared = self.declared.as_slice().iter().copied().peekable();
+        let mut requested = self.requests.iter().map(|(&id, &n)| (id, n)).peekable();
+        std::iter::from_fn(move || {
+            let (id, count) = match (declared.peek(), requested.peek()) {
+                (Some(&d), Some(&(r, _))) if d < r => (declared.next()?, 0),
+                (Some(&d), Some(&(r, _))) if d == r => {
+                    declared.next();
+                    requested.next()?
+                }
+                (_, Some(_)) => requested.next()?,
+                (Some(_), None) => (declared.next()?, 0),
+                (None, None) => return None,
+            };
+            Some((id, self.share(count)))
+        })
     }
 }
 

@@ -85,6 +85,28 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&s), "out of bounds: {}", s);
     }
 
+    /// The merged `effective_weights` rows equal `effective_set()` with
+    /// `request_weight()` per category, to the bit — zero-count requests
+    /// and request-less profiles included.
+    #[test]
+    fn effective_weights_match_set_and_request_weight(
+        declared in interest_set_strategy(),
+        reqs in proptest::collection::vec((0u16..30, 0u64..4), 0..10),
+    ) {
+        let mut p = InterestProfile::new(declared);
+        for (cat, count) in reqs {
+            p.record_requests(InterestId(cat), count);
+        }
+        let expected: Vec<(InterestId, u64)> = p
+            .effective_set()
+            .into_iter()
+            .map(|id| (id, p.request_weight(id).to_bits()))
+            .collect();
+        let got: Vec<(InterestId, u64)> =
+            p.effective_weights().map(|(id, w)| (id, w.to_bits())).collect();
+        prop_assert_eq!(got, expected);
+    }
+
     #[test]
     fn intersection_size_bounded_by_min(a in interest_set_strategy(), b in interest_set_strategy()) {
         let i = a.intersection_size(&b);
