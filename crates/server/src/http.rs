@@ -19,7 +19,7 @@
 //!   shutdown/idle sweep granularity.
 //! * **Per-tick response caching** — every published [`ScoreBoard`]
 //!   carries a lazily-built score-descending index prefix (warmed by the
-//!   tick thread), so `/scores?top=N` is an O(top) slice instead of an
+//!   writer thread), so `/scores?top=N` is an O(top) slice instead of an
 //!   O(n log n) sort per request; the default `/scores` body and the
 //!   `/journal` body render once per board into shared `Arc<str>`s, and
 //!   `/metrics` is cached for a short TTL. Each response is assembled
@@ -36,8 +36,7 @@
 //! * `/explain/{node}` — audit entries for the node's rescaled ratings in
 //!   the last completed tick, joined from the decision-provenance trace.
 //! * `/journal` — the tick journal (cumulative applied-event count per
-//!   tick), published on the immutable board so serving it never touches
-//!   the service mutex.
+//!   tick), read from the immutable board.
 //! * `/metrics` — Prometheus text exposition of the whole registry,
 //!   cached for [`METRICS_TTL`].
 //! * `/debug/vars` — instantaneous JSON dump of every metric in the
@@ -831,9 +830,8 @@ fn debug_slow_json(state: &ServerState) -> String {
     )
 }
 
-/// `/journal` renders once per published board — the journal is a field
-/// of the immutable [`ScoreBoard`], so serving it never contends with
-/// the tick thread on the service mutex.
+/// `/journal` renders once per published board, from the journal the
+/// immutable [`ScoreBoard`] carries.
 fn journal_body(state: &ServerState) -> Body {
     let board = state.board();
     board

@@ -1,9 +1,11 @@
 //! The ingest front end: one chunked reader over the event log.
 //!
 //! `--replay` pumps a [`LogReader`] on the calling thread up to the log
-//! length seen at open, then hands the same reader — partial line
-//! included — to the `st-ingest` tail thread ([`ingest_loop`]). Each pump
-//! is one read of at most [`CHUNK`] bytes:
+//! length seen at open, applying each batch there, then hands the same
+//! reader — partial line included — to the `st-ingest` tail thread
+//! ([`ingest_loop`]), which only reads, frames, parses and counts bad
+//! lines: it hands each batch to the writer thread. Each pump is one read
+//! of at most [`CHUNK`] bytes:
 //!
 //! * [`LineBuffer::read_from`] reads straight into the buffer after the
 //!   carried partial line, frames the complete lines with [`frame_lines`]
@@ -11,10 +13,12 @@
 //!   where the previous read stopped, so every byte is scanned once
 //!   however the log is cut into reads — and compacts the buffer once,
 //!   moving only the new trailing partial line to its front;
-//! * the read's events are applied in one `apply_batch` call, and its bad
-//!   lines are counted and logged: invalid UTF-8 under
-//!   `server_events_invalid_utf8_total`, parse failures (including JSON
-//!   nested deeper than the parser's 128-level cap) under
+//! * the read's events are moved, as one batch stamped with the instant
+//!   the read returned, to a sink: the replay applies it, the tail sends
+//!   it over the bounded handoff, waiting while the handoff is full. Its
+//!   bad lines are counted and logged on the reading thread: invalid UTF-8
+//!   under `server_events_invalid_utf8_total`, parse failures (including
+//!   JSON nested deeper than the parser's 128-level cap) under
 //!   `server_events_malformed_total`;
 //! * a line longer than [`MAX_LINE`] (1 MiB) is malformed without being
 //!   parsed. Once the carried partial line passes the cap it is dropped,
@@ -33,11 +37,12 @@ use std::io::{self, Read};
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::TrySendError;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::event::{parse_event, ServerEvent};
-use crate::ServerState;
+use crate::{ServerState, ToWriter};
 
 /// Bytes asked for per read.
 const CHUNK: usize = 64 * 1024;
@@ -171,7 +176,8 @@ pub(crate) struct LogReader {
     /// Bytes read from `file` so far.
     offset: u64,
     lines: LineBuffer,
-    /// Reused by every read; emptied once its contents are applied.
+    /// Filled by every read; its events move to the sink, its bad lines
+    /// are counted.
     framed: Framed,
 }
 
@@ -191,13 +197,20 @@ impl LogReader {
     }
 
     /// One read, ending at offset `end` at the latest: frame the complete
-    /// lines, count and log the bad ones, and apply the events in one
-    /// batch. Returns the bytes read (0 at end of file or at `end`).
-    fn pump(&mut self, state: &ServerState, end: u64) -> io::Result<usize> {
+    /// lines, count and log the bad ones, and move the events, if any, to
+    /// `sink` as one batch with the instant the read returned. Returns the
+    /// bytes read (0 at end of file or at `end`).
+    fn pump(
+        &mut self,
+        state: &ServerState,
+        end: u64,
+        sink: &mut impl FnMut(Vec<ServerEvent>, Instant),
+    ) -> io::Result<usize> {
         let left = usize::try_from(end.saturating_sub(self.offset)).unwrap_or(usize::MAX);
         let n = self
             .lines
             .read_from(&mut self.file, left.min(CHUNK), &mut self.framed)?;
+        let read_at = Instant::now();
         self.offset += n as u64;
         for reason in self.framed.malformed.drain(..) {
             state.events_malformed.inc();
@@ -215,17 +228,22 @@ impl LogReader {
                 &[("bytes", bytes.into())],
             );
         }
-        state.apply_batch(&self.framed.events);
-        self.framed.events.clear();
+        if !self.framed.events.is_empty() {
+            sink(std::mem::take(&mut self.framed.events), read_at);
+        }
         Ok(n)
     }
 
     /// `--replay`: pump on the calling thread up to the log length seen
-    /// now, so a writer that keeps appending cannot hold the daemon back
+    /// now, so a process that keeps appending cannot hold the daemon back
     /// from binding. A trailing partial line stays buffered for the tail.
-    pub(crate) fn replay(&mut self, state: &ServerState) -> io::Result<()> {
+    pub(crate) fn replay(
+        &mut self,
+        state: &ServerState,
+        sink: &mut impl FnMut(Vec<ServerEvent>, Instant),
+    ) -> io::Result<()> {
         let backlog = self.file.metadata()?.len();
-        while self.offset < backlog && self.pump(state, backlog)? > 0 {}
+        while self.offset < backlog && self.pump(state, backlog, sink)? > 0 {}
         Ok(())
     }
 
@@ -270,11 +288,43 @@ impl LogReader {
     }
 }
 
+/// Hand one batch to the writer, waiting while the handoff is full, and
+/// time the wait into `server_ingest_handoff_seconds`. Returns `false` if
+/// the writer is gone.
+fn hand_over(state: &ServerState, events: Vec<ServerEvent>, read_at: Instant) -> bool {
+    let waited = match state.handoff.try_send(ToWriter::Batch { events, read_at }) {
+        Ok(()) => Duration::ZERO,
+        Err(TrySendError::Full(batch)) => {
+            let started = Instant::now();
+            if state.handoff.send(batch).is_err() {
+                return false;
+            }
+            started.elapsed()
+        }
+        Err(TrySendError::Disconnected(_)) => return false,
+    };
+    state.ingest_handoff_seconds.observe(waited.as_secs_f64());
+    true
+}
+
 /// The `st-ingest` thread: pump the reader until shutdown is signalled,
-/// then drain whatever the log still holds before returning.
+/// then drain whatever the log still holds before returning. If the
+/// writer is gone, the batches are dropped and that is logged once; the
+/// thread keeps reading and counting bad lines at its usual pace.
 pub(crate) fn ingest_loop(state: Arc<ServerState>, mut reader: LogReader) {
+    let mut writer_gone = false;
+    let mut sink = |events: Vec<ServerEvent>, read_at: Instant| {
+        if !writer_gone && !hand_over(&state, events, read_at) {
+            writer_gone = true;
+            state.log.error(
+                "ingest",
+                "writer thread is gone; dropping parsed events",
+                &[],
+            );
+        }
+    };
     loop {
-        match reader.pump(&state, u64::MAX) {
+        match reader.pump(&state, u64::MAX, &mut sink) {
             Ok(0) => {
                 if reader.reopen_if_rotated(&state) {
                     continue;
@@ -302,6 +352,89 @@ mod tests {
     use super::*;
     use crate::event::{render_event, RelKind};
     use proptest::prelude::*;
+
+    /// Bytes that reach deep parser states: JSON punctuation, digits,
+    /// letters, the escape character, whitespace, both line ends and one
+    /// byte that is never valid UTF-8.
+    const JSON_TOKENS: &[u8] = b"{}[]\":,.-+eE0123456789abcdefghijklmnopqrstuvwxyz\\ \r\n\xFF";
+
+    /// Whole JSON words and event fields, so generated text also gets past
+    /// the JSON parser into event interpretation.
+    const JSON_WORDS: &[&str] = &[
+        "{\"type\":\"rating\",",
+        "{\"type\":\"edge_add\",",
+        "{\"type\":\"edge_remove\",",
+        "{\"type\":\"profile\",",
+        "\"rater\":",
+        "\"ratee\":",
+        "\"value\":",
+        "\"interest\":",
+        "\"a\":",
+        "\"b\":",
+        "\"rel\":\"kin\"",
+        "\"node\":",
+        "\"declare\":[",
+        "\"requests\":[[",
+        "1",
+        "-0.5",
+        "1e400",
+        "4294967296",
+        "65536",
+        "null",
+        "true",
+        "\"\\u00e9\\ud800\"",
+        ",",
+        "]",
+        "}",
+    ];
+
+    fn uniform_bytes() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(0u8..=255, 0..2048)
+    }
+
+    fn json_token_bytes() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec((0..JSON_TOKENS.len()).prop_map(|i| JSON_TOKENS[i]), 0..2048)
+    }
+
+    /// Read sizes: mostly small, so lines straddle reads, sometimes up to
+    /// a whole chunk.
+    fn cuts() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(prop_oneof![1usize..64, 1usize..=CHUNK], 1..16)
+    }
+
+    /// Frame `log` whole and in reads of the `cuts` sizes, and check that
+    /// both agree, that the buffer stays bounded, and that every non-blank
+    /// complete line is counted exactly once.
+    fn check_framing(log: &[u8], cuts: &[usize]) -> Result<(), TestCaseError> {
+        let mut whole = Framed::default();
+        let consumed = frame_lines(log, 0, &mut whole);
+
+        let mut chunked = Framed::default();
+        let mut lines = LineBuffer::default();
+        let mut src: &[u8] = log;
+        for cut in cuts.iter().cycle() {
+            let n = lines.read_from(&mut src, *cut, &mut chunked).unwrap();
+            prop_assert!(
+                lines.buf.len() <= MAX_LINE + CHUNK,
+                "buffer grew to {}",
+                lines.buf.len()
+            );
+            if n == 0 {
+                break;
+            }
+        }
+        prop_assert_eq!(&chunked, &whole);
+        prop_assert_eq!(lines.partial(), &log[consumed..]);
+
+        let blank = |line: &[u8]| std::str::from_utf8(line).is_ok_and(|l| l.trim().is_empty());
+        let non_blank = log[..consumed]
+            .split_inclusive(|&b| b == b'\n')
+            .filter(|line| !blank(&line[..line.len() - 1]))
+            .count();
+        let counted = whole.events.len() + whole.malformed.len() + whole.invalid_utf8.len();
+        prop_assert_eq!(counted, non_blank);
+        Ok(())
+    }
 
     /// One log line of each kind the framing must keep apart, as raw
     /// bytes including its terminator.
@@ -376,6 +509,61 @@ mod tests {
             prop_assert_eq!(&chunked, &whole);
             prop_assert_eq!(lines.partial(), &log[consumed..]);
         }
+
+        #[test]
+        fn uniform_bytes_frame_the_same_in_any_reads(log in uniform_bytes(), cuts in cuts()) {
+            check_framing(&log, &cuts)?;
+        }
+
+        #[test]
+        fn json_token_bytes_frame_the_same_in_any_reads(
+            log in json_token_bytes(),
+            cuts in cuts(),
+        ) {
+            check_framing(&log, &cuts)?;
+        }
+
+        #[test]
+        fn parse_event_never_panics(
+            pieces in proptest::collection::vec(
+                prop_oneof![
+                    (0..JSON_WORDS.len()).prop_map(|i| JSON_WORDS[i].to_owned()),
+                    (0..JSON_TOKENS.len()).prop_map(|i| char::from(JSON_TOKENS[i]).to_string()),
+                    (0u32..=0x10FFFF)
+                        .prop_map(|c| char::from_u32(c).unwrap_or('\u{FFFD}').to_string()),
+                ],
+                0..64,
+            ),
+        ) {
+            let text = pieces.concat();
+            // Either outcome is fine; reaching it without a panic is the
+            // property.
+            let _ = parse_event(&text);
+        }
+    }
+
+    #[test]
+    fn hand_over_counts_each_batch_and_reports_a_gone_writer() {
+        use socialtrust::prelude::Telemetry;
+
+        let (handoff, batches) = std::sync::mpsc::sync_channel(1);
+        let telemetry = Telemetry::new();
+        let config = crate::ServerConfig::default();
+        let service = crate::service::ReputationService::new(config.service, &telemetry);
+        let state = ServerState::new(&service, handoff, telemetry, &config);
+        let edge = ServerEvent::EdgeRemove { a: 1, b: 2 };
+
+        assert!(hand_over(&state, vec![edge.clone()], Instant::now()));
+        match batches.try_recv() {
+            Ok(ToWriter::Batch { events, .. }) => assert_eq!(events, vec![edge.clone()]),
+            _ => panic!("the batch did not reach the writer's end"),
+        }
+        assert_eq!(state.ingest_handoff_seconds.count(), 1);
+        assert_eq!(state.ingest_handoff_seconds.sum(), 0.0, "there was room");
+
+        drop(batches);
+        assert!(!hand_over(&state, vec![edge], Instant::now()));
+        assert_eq!(state.ingest_handoff_seconds.count(), 1);
     }
 
     #[test]

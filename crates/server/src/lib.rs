@@ -3,39 +3,48 @@
 //! A long-running reputation daemon over the SocialTrust pipeline,
 //! mirroring the staged-service shape of production EigenTrust
 //! deployments: an append-only JSONL event log is tailed by an **ingest
-//! thread**, applied through `DirtyLog` into the live social substrate, a
-//! **tick thread** recomputes warm-started blocked EigenTrust behind the
-//! B1–B4 detector on a configurable interval, and a small **HTTP worker
-//! pool** (keep-alive HTTP/1.1 over a `poll(2)` event loop, see
-//! [`http`]) serves scores, audit explanations, and Prometheus metrics
-//! from immutable published [`ScoreBoard`]s.
+//! thread**, which reads, frames and parses it and hands each read's
+//! events to the **writer thread**. The writer owns the pipeline: it
+//! applies every batch through `DirtyLog` into the live social substrate
+//! and, on a fixed `--tick-ms` period, recomputes warm-started blocked
+//! EigenTrust behind the B1–B4 detector. A small **HTTP worker pool**
+//! (keep-alive HTTP/1.1 over a `poll(2)` event loop, see [`http`]) serves
+//! scores, audit explanations, and Prometheus metrics from immutable
+//! published [`ScoreBoard`]s.
 //!
 //! Threading model (no async runtime, no HTTP/signal dependencies):
 //!
 //! ```text
-//!  events.jsonl ──tail── ingest thread ──apply──▶ Mutex<ReputationService>
-//!                                                    │ end_cycle() per tick
-//!  tick thread ──every --tick-ms, skip when idle─────┘
-//!       │ publish Arc<ScoreBoard>
-//!       ▼
+//!  events.jsonl ──tail── ingest thread: read, frame, parse, count bad lines
+//!                             │ one batch per read (bounded sync_channel)
+//!                             ▼
+//!                        writer thread: owns ReputationService
+//!                             │ apply each batch as it arrives;
+//!                             │ end_cycle() at every --tick-ms deadline
+//!                             │ (skipped when idle)
+//!                             ▼ publish Arc<ScoreBoard>
 //!  RwLock<Arc<ScoreBoard>> ◀──read── HTTP workers (/score /scores /explain
 //!                                       /journal /healthz /metrics)
 //! ```
 //!
-//! Ingest: one chunked reader frames the log's lines and applies each
-//! read's events in one batch. `--replay` pumps it on the calling thread
-//! up to the log length seen at open, ticks once, and only then binds the
-//! listener; the ingest thread takes over the same reader, so a backlog
-//! that ends mid-line is finished by the tail, and restart cost is linear
-//! in backlog bytes. The tail reopens a log it finds truncated or
-//! replaced.
+//! Ingest: one chunked reader frames the log's lines, and each read's
+//! events travel as one batch. `--replay` pumps it on the calling thread
+//! up to the log length seen at open, applying each batch directly,
+//! ticks once, and only then binds the listener; the ingest thread takes
+//! over the same reader, so a backlog that ends mid-line is finished by
+//! the tail, and restart cost is linear in backlog bytes. The tail
+//! reopens a log it finds truncated or replaced. The handoff holds at
+//! most `HANDOFF_BATCHES` (16) batches; when it is full the ingest thread
+//! waits for room, so a burst cannot grow memory.
 //!
-//! Consistency: queries see exactly the last completed tick. Ticks with
-//! no newly applied events are skipped, so the tick journal (cumulative
-//! events per tick, served at `/journal`) stays finite and the daemon's
-//! entire output is reproducible offline via
-//! [`service::replay_offline`] — bit for bit, which the integration
-//! tests assert over real sockets.
+//! Consistency: only the writer thread mutates the pipeline, and it
+//! applies whole batches, so a tick always falls between two batches and
+//! every tick journal entry (cumulative applied events per tick, served
+//! at `/journal`) is a batch boundary. Queries see exactly the last
+//! completed tick. Ticks with no newly applied events are skipped, so the
+//! journal stays finite and the daemon's entire output is reproducible
+//! offline via [`service::replay_offline`] — bit for bit, which the
+//! integration tests assert over real sockets.
 
 pub mod event;
 pub mod http;
@@ -44,7 +53,8 @@ pub mod service;
 
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -54,7 +64,34 @@ use socialtrust::telemetry::{
     Counter, FlightRecorder, Gauge, Histogram, Level, Logger, RecorderConfig,
 };
 
+use event::ServerEvent;
 use service::{HealthMachine, HealthState, ReputationService, ScoreBoard, ServiceConfig};
+
+/// Batches the ingest thread may queue ahead of the writer. A batch is
+/// one read of at most 64 KiB, so at most about 1 MiB of log waits.
+const HANDOFF_BATCHES: usize = 16;
+
+/// The writer's heartbeat period while it waits for batches, and its
+/// sleep while frozen.
+const BEAT: Duration = Duration::from_millis(10);
+
+/// `oldest_pending` when every applied event is covered by a board.
+const NONE_PENDING: u64 = u64::MAX;
+
+/// What the writer thread receives, in order.
+pub(crate) enum ToWriter {
+    /// One read's parsed events, and the instant that read returned.
+    Batch {
+        events: Vec<ServerEvent>,
+        read_at: Instant,
+    },
+    /// [`ServerState::force_tick`]: tick now if anything is pending, and
+    /// answer whether a tick ran.
+    Tick(SyncSender<bool>),
+    /// Shutdown, sent once the ingest thread has drained the log: run the
+    /// final tick and return.
+    Stop,
+}
 
 /// Daemon configuration: where the log lives, where to listen, pipeline
 /// capacity, and the tick/worker knobs.
@@ -121,10 +158,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared daemon state: the pipeline behind a mutex, the published board
-/// behind an rwlock, and the telemetry handles every thread updates.
+/// Shared daemon state: the handoff to the writer thread (which owns the
+/// pipeline), the published board behind an rwlock, and the telemetry
+/// handles every thread updates.
 pub struct ServerState {
-    pub(crate) service: Mutex<ReputationService>,
+    /// The ingest thread's batches, [`ServerState::force_tick`] requests
+    /// and the shutdown stop, in order, to the writer thread.
+    pub(crate) handoff: SyncSender<ToWriter>,
     board: RwLock<Arc<ScoreBoard>>,
     pub(crate) telemetry: Telemetry,
     pub(crate) shutdown: AtomicBool,
@@ -136,9 +176,16 @@ pub struct ServerState {
     queue_depth: Gauge,
     ingest_lag: Gauge,
     ingest_apply_seconds: Histogram,
-    /// When the oldest event not yet covered by a completed tick was
-    /// applied (drives the `server_ingest_lag_seconds` gauge).
-    oldest_pending: Mutex<Option<Instant>>,
+    /// How long each handoff waited for room in the channel.
+    pub(crate) ingest_handoff_seconds: Histogram,
+    /// Per applied batch: from its read to the publish of the first board
+    /// that covers it.
+    event_freshness_seconds: Histogram,
+    /// Read instant of the oldest applied batch not yet covered by a
+    /// published board, in nanoseconds since `start` (`NONE_PENDING` when
+    /// none). Only the writer stores it; it publishes no other data, so
+    /// `Relaxed` suffices.
+    oldest_pending: AtomicU64,
     // Tick-side telemetry.
     ticks_total: Counter,
     ticks_skipped: Counter,
@@ -159,7 +206,7 @@ pub struct ServerState {
     pub(crate) log: Logger,
     /// Flight recorder the watchdog samples on `record_interval`.
     pub(crate) recorder: FlightRecorder,
-    /// Heartbeat-driven health derivation (beaten by the tick thread).
+    /// Heartbeat-driven health derivation (beaten by the writer thread).
     pub(crate) health: HealthMachine,
     /// `server_health_state` gauge (0 ok / 1 degraded / 2 stalled).
     health_gauge: Gauge,
@@ -177,8 +224,8 @@ pub struct ServerState {
     pub(crate) slow: Mutex<SlowRing>,
     pub(crate) slow_threshold: Duration,
     pub(crate) blackbox_out: Option<PathBuf>,
-    /// Test hook: while set, the tick thread neither ticks nor beats the
-    /// heartbeat, simulating a wedged recompute.
+    /// Test hook: while set, the writer thread neither applies, ticks nor
+    /// beats the heartbeat, simulating a wedged recompute.
     tick_frozen: AtomicBool,
 }
 
@@ -235,7 +282,12 @@ impl SlowRing {
 }
 
 impl ServerState {
-    fn new(service: ReputationService, telemetry: Telemetry, config: &ServerConfig) -> ServerState {
+    fn new(
+        service: &ReputationService,
+        handoff: SyncSender<ToWriter>,
+        telemetry: Telemetry,
+        config: &ServerConfig,
+    ) -> ServerState {
         let board = service.boot_board();
         board.ranking(); // warm the boot board's score index
         let r = telemetry.registry();
@@ -262,7 +314,7 @@ impl ServerState {
             slow_threshold: config.slow_threshold,
             blackbox_out: config.blackbox_out.clone(),
             tick_frozen: AtomicBool::new(false),
-            service: Mutex::new(service),
+            handoff,
             board: RwLock::new(board),
             shutdown: AtomicBool::new(false),
             start: Instant::now(),
@@ -272,6 +324,8 @@ impl ServerState {
             queue_depth: r.gauge("server_ingest_queue_depth"),
             ingest_lag: r.gauge("server_ingest_lag_seconds"),
             ingest_apply_seconds: r.histogram("server_ingest_apply_seconds"),
+            ingest_handoff_seconds: r.histogram("server_ingest_handoff_seconds"),
+            event_freshness_seconds: r.histogram("server_event_freshness_seconds"),
             ticks_total: r.counter("server_ticks_total"),
             ticks_skipped: r.counter("server_ticks_skipped_total"),
             tick_seconds: r.histogram("server_tick_seconds"),
@@ -281,7 +335,7 @@ impl ServerState {
             http_idle_timeout: config.http_idle_timeout,
             http_max_requests: config.http_max_requests.max(1),
             metrics_cache: Mutex::new(None),
-            oldest_pending: Mutex::new(None),
+            oldest_pending: AtomicU64::new(NONE_PENDING),
             telemetry,
         }
     }
@@ -296,76 +350,30 @@ impl ServerState {
         &self.telemetry
     }
 
-    /// Counter of events the ingest thread has applied (benches and tests
+    /// Counter of events the writer thread has applied (benches and tests
     /// poll this to detect when an appended batch has landed).
     pub fn events_ingested(&self) -> &Counter {
         &self.events_ingested
     }
 
     /// Run one recompute tick immediately if any events are pending,
-    /// instead of waiting out the tick interval. Benches and tests use
-    /// this to get deterministic tick boundaries; the daemon itself only
-    /// ticks from the tick thread and the shutdown drain.
+    /// instead of waiting out the tick interval. The request queues behind
+    /// every batch already handed to the writer, so the tick covers them.
+    /// Benches and tests use this to get deterministic tick boundaries;
+    /// the daemon itself only ticks from the writer's schedule and the
+    /// shutdown drain. Returns whether a tick ran (`false` once the writer
+    /// has stopped).
     pub fn force_tick(&self) -> bool {
-        self.maybe_tick()
+        let (reply, answer) = mpsc::sync_channel(1);
+        self.handoff.send(ToWriter::Tick(reply)).is_ok() && answer.recv().unwrap_or(false)
     }
 
-    /// Apply a batch of parsed events under one service lock. Rejections
-    /// are counted, not applied.
-    fn apply_batch(&self, events: &[event::ServerEvent]) {
-        if events.is_empty() {
-            return;
-        }
-        let started = Instant::now();
-        let mut applied = 0usize;
-        {
-            let mut service = self.service.lock().expect("service lock");
-            for ev in events {
-                match service.apply(ev) {
-                    Ok(()) => applied += 1,
-                    Err(reason) => {
-                        self.events_rejected.inc();
-                        self.log.warn(
-                            "ingest",
-                            "rejected event",
-                            &[("reason", reason.as_str().into())],
-                        );
-                    }
-                }
-            }
-            self.queue_depth.set(service.pending_events() as f64);
-        }
-        self.events_ingested.add(applied as u64);
-        self.ingest_apply_seconds
-            .observe(started.elapsed().as_secs_f64());
-        if applied > 0 {
-            let mut oldest = self.oldest_pending.lock().expect("oldest lock");
-            oldest.get_or_insert(started);
-        }
-    }
-
-    /// Run one tick if any events arrived since the last one; publish the
-    /// new board. Returns whether a tick ran.
-    fn maybe_tick(&self) -> bool {
-        let mut service = self.service.lock().expect("service lock");
-        if service.pending_events() == 0 {
-            self.ticks_skipped.inc();
-            return false;
-        }
-        let started = Instant::now();
-        let board = service.tick();
-        self.tick_seconds.observe(started.elapsed().as_secs_f64());
-        self.ticks_total.inc();
-        self.queue_depth.set(service.pending_events() as f64);
-        drop(service);
-        if let Some(oldest) = self.oldest_pending.lock().expect("oldest lock").take() {
-            self.ingest_lag.set(oldest.elapsed().as_secs_f64());
-        }
-        // Precompute the per-tick score index here, on the tick thread,
-        // so `/scores` requests slice a warm shared ranking.
-        board.ranking();
-        *self.board.write().expect("board lock") = board;
-        true
+    /// Time elapsed since `read`, an instant stored as nanoseconds since
+    /// `start`.
+    fn since(&self, read: u64) -> Duration {
+        self.start
+            .elapsed()
+            .saturating_sub(Duration::from_nanos(read))
     }
 
     /// The daemon's structured logger.
@@ -378,11 +386,10 @@ impl ServerState {
     /// the **live** wait of the oldest event not yet covered by a tick
     /// (0 when nothing is pending), not the per-tick gauge.
     pub fn assess_health(&self) -> (HealthState, f64, f64) {
-        let lag = self
-            .oldest_pending
-            .lock()
-            .expect("oldest lock")
-            .map(|t| t.elapsed());
+        let lag = match self.oldest_pending.load(Ordering::Relaxed) {
+            NONE_PENDING => None,
+            read => Some(self.since(read)),
+        };
         let state = self.health.assess(lag, self.worker_panics.get());
         (
             state,
@@ -446,40 +453,137 @@ impl ServerState {
         }
     }
 
-    /// Test hook: freeze (or thaw) the tick thread. While frozen it
-    /// neither runs `maybe_tick` nor beats the health heartbeat, so the
-    /// watchdog and `/healthz` observe a genuine stall.
+    /// Test hook: freeze (or thaw) the writer thread. While frozen it
+    /// neither applies batches, ticks nor beats the health heartbeat, so
+    /// the watchdog and `/healthz` observe a genuine stall; the ingest
+    /// thread keeps reading until the handoff is full. Shutdown thaws it.
     #[doc(hidden)]
     pub fn set_tick_frozen(&self, frozen: bool) {
         self.tick_frozen.store(frozen, Ordering::SeqCst);
     }
 }
 
-/// The tick thread: one `maybe_tick` per interval until shutdown. Every
-/// slice (not just completed ticks) beats the health heartbeat, so a
-/// long-but-running tick interval never reads as a stall — only a thread
-/// that stopped scheduling does.
-fn tick_loop(state: Arc<ServerState>, interval: Duration) {
-    // Sleep in small slices so shutdown is honored promptly even with
-    // multi-second tick intervals.
-    let slice = Duration::from_millis(10).min(interval);
+/// The daemon's single writer: it owns the pipeline, applies batches and
+/// runs ticks. `--replay` drives it on the calling thread; the writer
+/// thread ([`writer_loop`]) drives it from then on.
+struct Writer {
+    state: Arc<ServerState>,
+    service: ReputationService,
+    /// Read instants of the handed-over batches applied since the last
+    /// tick, observed into `server_event_freshness_seconds` at publish.
+    unpublished: Vec<Instant>,
+}
+
+impl Writer {
+    /// Apply one batch. Rejections are counted, not applied. Returns
+    /// whether any event was applied.
+    fn apply(&mut self, events: &[ServerEvent], read_at: Instant) -> bool {
+        let state = &*self.state;
+        let started = Instant::now();
+        let mut applied = 0u64;
+        for ev in events {
+            match self.service.apply(ev) {
+                Ok(()) => applied += 1,
+                Err(reason) => {
+                    state.events_rejected.inc();
+                    state.log.warn(
+                        "ingest",
+                        "rejected event",
+                        &[("reason", reason.as_str().into())],
+                    );
+                }
+            }
+        }
+        state.queue_depth.set(self.service.pending_events() as f64);
+        state.events_ingested.add(applied);
+        state
+            .ingest_apply_seconds
+            .observe(started.elapsed().as_secs_f64());
+        if applied > 0 && state.oldest_pending.load(Ordering::Relaxed) == NONE_PENDING {
+            let read = read_at.saturating_duration_since(state.start).as_nanos();
+            let read = u64::try_from(read).unwrap_or(NONE_PENDING - 1);
+            state.oldest_pending.store(read, Ordering::Relaxed);
+        }
+        applied > 0
+    }
+
+    /// Run one tick if any events arrived since the last one; publish the
+    /// new board. Returns whether a tick ran.
+    fn maybe_tick(&mut self) -> bool {
+        let state = &*self.state;
+        if self.service.pending_events() == 0 {
+            state.ticks_skipped.inc();
+            return false;
+        }
+        let started = Instant::now();
+        let board = self.service.tick();
+        state.tick_seconds.observe(started.elapsed().as_secs_f64());
+        state.ticks_total.inc();
+        state.queue_depth.set(self.service.pending_events() as f64);
+        // Precompute the per-tick score index here, on the writer thread,
+        // so `/scores` requests slice a warm shared ranking.
+        board.ranking();
+        *state.board.write().expect("board lock") = board;
+        let oldest = state.oldest_pending.swap(NONE_PENDING, Ordering::Relaxed);
+        if oldest != NONE_PENDING {
+            state.ingest_lag.set(state.since(oldest).as_secs_f64());
+        }
+        for read_at in self.unpublished.drain(..) {
+            state
+                .event_freshness_seconds
+                .observe(read_at.elapsed().as_secs_f64());
+        }
+        true
+    }
+}
+
+/// The deadline after the tick due at `due` that ended at `now`: one
+/// interval after `due`, so the period does not include the tick's cost;
+/// or `now` when the tick overran that, so missed deadlines are not made
+/// up by a burst of ticks.
+fn next_deadline(due: Instant, interval: Duration, now: Instant) -> Instant {
+    (due + interval).max(now)
+}
+
+/// The writer thread: apply each batch as it arrives, and run
+/// `maybe_tick` at every deadline, until the shutdown stop. It beats the
+/// health heartbeat on every pass, at least every [`BEAT`] while it waits,
+/// so a long-but-running tick interval never reads as a stall — only a
+/// thread that stopped scheduling does.
+fn writer_loop(mut writer: Writer, handoff: Receiver<ToWriter>, interval: Duration) {
+    let state = Arc::clone(&writer.state);
     let mut next = Instant::now() + interval;
     loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if state.tick_frozen.load(Ordering::SeqCst) {
+        if state.tick_frozen.load(Ordering::SeqCst) && !state.shutdown.load(Ordering::SeqCst) {
             // Frozen (test hook): simulate a wedged recompute — no
-            // heartbeat, no ticks, but shutdown stays honored.
-            std::thread::sleep(slice);
+            // heartbeat, no applies, no ticks. Shutdown thaws it, so the
+            // drain can finish.
+            std::thread::sleep(BEAT);
             continue;
         }
         state.health.beat();
-        if Instant::now() >= next {
-            state.maybe_tick();
-            next = Instant::now() + interval;
+        let now = Instant::now();
+        if now >= next {
+            writer.maybe_tick();
+            next = next_deadline(next, interval, Instant::now());
+            continue;
         }
-        std::thread::sleep(slice);
+        match handoff.recv_timeout((next - now).min(BEAT)) {
+            Ok(ToWriter::Batch { events, read_at }) => {
+                if writer.apply(&events, read_at) {
+                    writer.unpublished.push(read_at);
+                }
+            }
+            Ok(ToWriter::Tick(reply)) => {
+                let _ = reply.send(writer.maybe_tick());
+            }
+            Ok(ToWriter::Stop) | Err(RecvTimeoutError::Disconnected) => {
+                // Every batch was handed over before the stop: cover them.
+                writer.maybe_tick();
+                return;
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+        }
     }
 }
 
@@ -528,7 +632,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServerState>,
     ingest: Option<JoinHandle<()>>,
-    tick: Option<JoinHandle<()>>,
+    writer: Option<JoinHandle<()>>,
     watch: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -545,18 +649,19 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop tailing after a final drain of the log,
-    /// run one last tick over whatever the drain applied, stop the HTTP
-    /// workers, and return the state for a final metrics dump. The
-    /// sequence mirrors SIGTERM handling in the binary.
+    /// have the writer apply every handed-over batch and run one last tick
+    /// over them, stop the HTTP workers, and return the state for a final
+    /// metrics dump. The binary's SIGTERM handling calls this too.
     pub fn shutdown(mut self) -> Arc<ServerState> {
         self.state.shutdown.store(true, Ordering::SeqCst);
         if let Some(ingest) = self.ingest.take() {
-            let _ = ingest.join(); // drains the log to EOF first
+            let _ = ingest.join(); // drains the log to EOF and hands it all over
         }
-        if let Some(tick) = self.tick.take() {
-            let _ = tick.join();
+        // Queued behind the last batch; fails only if the writer is gone.
+        let _ = self.state.handoff.send(ToWriter::Stop);
+        if let Some(writer) = self.writer.take() {
+            let _ = writer.join(); // applies the queue, then the final tick
         }
-        self.state.maybe_tick(); // cover events applied by the drain
         if let Some(watch) = self.watch.take() {
             let _ = watch.join();
         }
@@ -571,7 +676,7 @@ impl ServerHandle {
 }
 
 /// Start the daemon: open (or create) the log, optionally replay the
-/// backlog, bind the listener, and spawn the ingest/tick/worker threads.
+/// backlog, bind the listener, and spawn the ingest/writer/worker threads.
 pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     // The log must exist to be tailed; create it empty on first boot so
     // `--log fresh.jsonl` works out of the box.
@@ -589,15 +694,24 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         Tracer::new(TracerConfig::with_sample(SampleMode::Full)),
     );
     let service = ReputationService::new(config.service, &telemetry);
-    let state = Arc::new(ServerState::new(service, telemetry, &config));
+    let (handoff, batches) = mpsc::sync_channel(HANDOFF_BATCHES);
+    let state = Arc::new(ServerState::new(&service, handoff, telemetry, &config));
+    let mut writer = Writer {
+        state: Arc::clone(&state),
+        service,
+        unpublished: Vec::new(),
+    };
 
     // --replay: consume the backlog and tick once before going live, so
-    // first queries see a warm trust vector. The tail then continues with
-    // the same reader, partial line included.
+    // first queries see a warm trust vector. This thread applies the
+    // batches itself; the tail then continues with the same reader,
+    // partial line included, and hands its batches to the writer thread.
     let mut reader = ingest::LogReader::open(&config.log_path)?;
     if config.replay {
-        reader.replay(&state)?;
-        state.maybe_tick();
+        reader.replay(&state, &mut |events, read_at| {
+            writer.apply(&events, read_at);
+        })?;
+        writer.maybe_tick();
         state.log.info(
             "server",
             "replayed backlog",
@@ -619,12 +733,11 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
             .name("st-ingest".into())
             .spawn(move || ingest::ingest_loop(state, reader))?
     };
-    let tick = {
-        let state = Arc::clone(&state);
+    let writer = {
         let interval = config.tick_interval.max(Duration::from_millis(1));
         std::thread::Builder::new()
-            .name("st-tick".into())
-            .spawn(move || tick_loop(state, interval))?
+            .name("st-writer".into())
+            .spawn(move || writer_loop(writer, batches, interval))?
     };
     let watch = {
         let state = Arc::clone(&state);
@@ -653,7 +766,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         addr,
         state,
         ingest: Some(ingest),
-        tick: Some(tick),
+        writer: Some(writer),
         watch: Some(watch),
         workers,
     })
@@ -673,5 +786,68 @@ impl Drop for PanicGuard {
             self.state.worker_panics.inc();
             self.state.log.error("http", "worker thread panicked", &[]);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const INTERVAL: Duration = Duration::from_millis(100);
+
+    /// The start of every tick the writer runs over `costs`, one tick per
+    /// cost, following the writer loop: a tick starts at its deadline or,
+    /// when the previous tick ended later, as soon as that one ends.
+    fn tick_starts(t0: Instant, costs: &[u64]) -> Vec<Instant> {
+        let mut due = t0 + INTERVAL;
+        let mut free = t0;
+        let mut starts = Vec::new();
+        for &cost in costs {
+            let start = due.max(free);
+            let end = start + Duration::from_millis(cost);
+            starts.push(start);
+            due = next_deadline(due, INTERVAL, end);
+            free = end;
+        }
+        starts
+    }
+
+    #[test]
+    fn ticks_shorter_than_the_interval_start_on_a_fixed_grid() {
+        let t0 = Instant::now();
+        let starts = tick_starts(t0, &[30, 99, 0, 60, 1]);
+        let grid: Vec<Instant> = (1..=5).map(|k| t0 + INTERVAL * k).collect();
+        assert_eq!(starts, grid, "the period must not include the tick");
+    }
+
+    #[test]
+    fn an_overrun_moves_the_next_deadline_to_now() {
+        let t0 = Instant::now();
+        let due = t0 + INTERVAL;
+        let end = due + Duration::from_millis(350);
+        assert_eq!(next_deadline(due, INTERVAL, end), end);
+        // Ending exactly on the next deadline is not an overrun.
+        let on_time = due + INTERVAL;
+        assert_eq!(next_deadline(due, INTERVAL, on_time), on_time);
+    }
+
+    #[test]
+    fn an_overrun_is_not_made_up_by_catch_up_ticks() {
+        let t0 = Instant::now();
+        // The second tick takes 3.5 intervals: the deadlines it spans are
+        // dropped, not replayed back to back.
+        let starts = tick_starts(t0, &[10, 350, 10, 10]);
+        let ms = |k: u64| Duration::from_millis(k);
+        assert_eq!(
+            starts,
+            vec![
+                t0 + ms(100),
+                t0 + ms(200),
+                // Runs as soon as the overrun ends, once ...
+                t0 + ms(550),
+                // ... and the grid restarts from there.
+                t0 + ms(650),
+            ]
+        );
     }
 }

@@ -74,14 +74,13 @@ pub struct ScoreBoard {
     /// The full trust vector as of this tick.
     pub scores: Vec<f64>,
     /// The tick journal as of this board (cumulative applied-event count
-    /// per tick). Published here so `/journal` never takes the service
-    /// mutex.
+    /// per tick), which `/journal` serves.
     pub journal: Vec<u64>,
     /// Decision-provenance spans of the most recent tick (drained from
     /// the tracer, so each board carries exactly its own cycle).
     pub trace: TraceDump,
     /// Lazily-built score-descending index prefix (see [`RANK_PREFIX`]);
-    /// the tick thread warms it once per publish, off the request path.
+    /// the writer thread warms it once per publish, off the request path.
     ranking: OnceLock<Arc<[u32]>>,
     /// Lazily-rendered body for the default `/scores` request.
     pub cached_scores_body: OnceLock<Arc<str>>,
@@ -116,8 +115,8 @@ impl ScoreBoard {
     }
 
     /// The shared score-descending index prefix, built at most once per
-    /// board. [`crate::ServerState`] warms it from the tick thread right
-    /// after publishing, so requests normally never pay for it.
+    /// board. The daemon warms it on its writer thread right before
+    /// publishing, so requests normally never pay for it.
     pub fn ranking(&self) -> &Arc<[u32]> {
         self.ranking
             .get_or_init(|| Self::rank_top(&self.scores, RANK_PREFIX).into())
@@ -382,17 +381,17 @@ pub fn replay_offline(
 }
 
 /// Operational health of the daemon, derived by the watchdog (and on
-/// demand by `/healthz`) from the tick thread's heartbeat age, the live
+/// demand by `/healthz`) from the writer thread's heartbeat age, the live
 /// ingest lag, and the worker-panic count.
 ///
 /// The states are ordered by severity, and the derivation is monotone in
 /// its inputs:
 ///
-/// * **Ok** — the tick thread beat recently and ingest is keeping up.
+/// * **Ok** — the writer thread beat recently and ingest is keeping up.
 /// * **Degraded** — still ticking, but the oldest pending (unticked)
 ///   event has waited longer than `degraded_after`, or an HTTP worker
 ///   has panicked since boot. Queries are served but answers lag.
-/// * **Stalled** — the tick thread has not beaten its heartbeat within
+/// * **Stalled** — the writer thread has not beaten its heartbeat within
 ///   `stall_after`. `/healthz` reports 503 so load balancers stop
 ///   routing to this instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -401,7 +400,7 @@ pub enum HealthState {
     Ok,
     /// Ticking, but ingest lag exceeds the threshold or a worker panicked.
     Degraded,
-    /// Tick-thread heartbeat is older than the stall threshold.
+    /// Writer-thread heartbeat is older than the stall threshold.
     Stalled,
 }
 
@@ -435,7 +434,7 @@ impl HealthState {
     }
 }
 
-/// Heartbeat-driven health derivation, shared by the tick thread (which
+/// Heartbeat-driven health derivation, shared by the writer thread (which
 /// beats it), the watchdog (which samples it on the recorder interval),
 /// and `/healthz` (which assesses it per request).
 ///
@@ -463,7 +462,7 @@ impl HealthMachine {
         }
     }
 
-    /// Records a tick-thread heartbeat (called every scheduler slice, not
+    /// Records a writer-thread heartbeat (called every scheduler slice, not
     /// just on completed ticks, so slow ticks don't read as stalls).
     pub fn beat(&self) {
         let ms = self.started.elapsed().as_millis() as u64;

@@ -10,6 +10,9 @@
 //!   while the valid lines around them still apply.
 //! * `sigterm_exits_cleanly` — the installed binary drains and exits 0
 //!   on SIGTERM.
+//! * single writer — the ingest thread keeps reading and counting bad
+//!   lines while the writer thread is frozen, and `/metrics` carries the
+//!   handoff, apply and freshness histograms.
 //! * ingest framing — a replayed backlog that ends mid-line finishes that
 //!   line from the tail exactly once, a line nested past the JSON depth
 //!   cap is counted as malformed without taking the daemon down, and a
@@ -683,6 +686,103 @@ fn shutdown_drains_pending_log_lines() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn handoff_apply_and_freshness_are_exposed() {
+    let dir = temp_dir("handoff-metrics");
+    let handle = seed_daemon(&dir);
+    let addr = handle.addr();
+    // `seed_daemon` waited for a board covering its two appended events,
+    // and the writer observes freshness when it publishes that board.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let metrics = loop {
+        let (status, metrics) = http_get(addr, "/metrics");
+        assert_eq!(status, 200);
+        let count = metrics
+            .lines()
+            .find_map(|line| line.strip_prefix("server_event_freshness_seconds_count "))
+            .map(|n| n.parse::<u64>().expect("freshness count"));
+        if count.is_some_and(|n| n >= 1) {
+            break metrics;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no freshness sample after a covering board: {metrics}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    socialtrust::telemetry::validate_exposition(&metrics)
+        .expect("served /metrics must pass the exposition validator");
+    for family in [
+        "server_ingest_handoff_seconds_count ",
+        "server_ingest_apply_seconds_count ",
+        "server_event_freshness_seconds_count ",
+    ] {
+        assert!(metrics.contains(family), "missing {family}: {metrics}");
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ingest_reads_while_the_writer_is_frozen() {
+    let dir = temp_dir("frozen-writer");
+    let handle = seed_daemon(&dir);
+    let addr = handle.addr();
+    let state = handle.state();
+    let registry = state.telemetry().registry();
+    let malformed = registry.counter("server_events_malformed_total");
+    let handoffs = registry.histogram("server_ingest_handoff_seconds");
+    let applied = state.events_ingested().get();
+    let handed = handoffs.count();
+
+    // Freeze the writer, and wait until it has stopped beating: from then
+    // on it takes nothing off the handoff.
+    state.set_tick_frozen(true);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (_, body) = http_get(addr, "/healthz");
+        if json_number(&body, "heartbeat_age_seconds") >= 0.3 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "writer never froze: {body}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // One write: a malformed line, then a valid event in the same batch.
+    append_raw(
+        &dir.join("events.jsonl"),
+        b"not an event\n{\"type\":\"edge_add\",\"a\":3,\"b\":4}\n",
+    );
+    // Wait until the batch is handed over (or, wrongly, applied).
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while malformed.get() < 1
+        || (handoffs.count() <= handed && state.events_ingested().get() == applied)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "ingest stopped while the writer was frozen: {} malformed, {} handoffs",
+            malformed.get(),
+            handoffs.count()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(malformed.get(), 1);
+    assert_eq!(
+        state.events_ingested().get(),
+        applied,
+        "an event was applied while the writer was frozen"
+    );
+    assert_eq!(state.board().events_applied, applied);
+
+    // Thawed, the writer applies the queued batch and the next board
+    // covers it.
+    state.set_tick_frozen(false);
+    wait_for_applied(addr, applied + 1);
+    assert_eq!(state.events_ingested().get(), applied + 1);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A tiny substrate every keep-alive test shares: two events so the
 /// first tick publishes a non-boot board.
 fn seed_daemon(dir: &Path) -> ServerHandle {
@@ -883,7 +983,7 @@ fn healthz_flips_to_stalled_and_recovers() {
     let body = wait_for_health(addr, 200, "ok");
     assert!(body.contains("\"heartbeat_age_seconds\":"), "{body}");
 
-    // Freeze the tick thread: the heartbeat stops, and once its age
+    // Freeze the writer thread: the heartbeat stops, and once its age
     // crosses stall_after, /healthz must flip to 503 "stalled".
     handle.state().set_tick_frozen(true);
     let body = wait_for_health(addr, 503, "stalled");
