@@ -31,16 +31,18 @@
 //!    iteration. The full cycle above folds only `raters × 5` ratings into
 //!    a near-empty matrix, so it cannot see this stage's cost.
 //!
-//! `snapshot_bytes_per_node_{n}` records the resident snapshot footprint
-//! so the memory budget is tracked alongside the timings. Results land in
-//! `BENCH_scale.json` (override with `BENCH_SCALE_OUT`); keys ending in
-//! `_seconds` are gated by `scripts/bench_diff.sh`. CI's smoke run sets
+//! Every cell is the median of `REPS` repetitions (see
+//! `socialtrust_bench::timing`). `snapshot_bytes_per_node_{n}` records the
+//! resident snapshot footprint so the memory budget is tracked alongside
+//! the timings. Results land in `BENCH_scale.json` in `BENCH_OUT_DIR`
+//! (default: the workspace root). CI's smoke run sets
 //! `SCALE_SIZES=10000,100000` to keep the matrix small while still timing
 //! a sharded snapshot; the committed baseline carries the full
 //! 10k/100k/1M rows.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use socialtrust_bench::timing::{self, Report};
 use socialtrust_core::prelude::{
     SharedSocialContext, SocialContext, SocialTrustConfig, WithSocialTrust,
 };
@@ -56,6 +58,8 @@ use socialtrust_socnet::NodeId;
 use std::time::Instant;
 
 const INTERESTS: u16 = 40;
+/// Repetitions per cell, at every size.
+const REPS: usize = 11;
 
 fn env(n: usize, seed: u64) -> (SocialGraph, InteractionTracker, Vec<InterestProfile>) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -82,15 +86,6 @@ fn env(n: usize, seed: u64) -> (SocialGraph, InteractionTracker, Vec<InterestPro
         })
         .collect();
     (g, t, profiles)
-}
-
-/// Mean seconds per run of `routine` over `reps` timed repetitions.
-fn measure<F: FnMut()>(reps: u32, mut routine: F) -> f64 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        routine();
-    }
-    start.elapsed().as_secs_f64() / reps as f64
 }
 
 /// One sparse interaction round: ~0.05% of nodes (at least 10) record a
@@ -126,18 +121,7 @@ fn structural_dirt(g: &mut SocialGraph, n: usize, round: usize) {
     }
 }
 
-struct SizeReport {
-    n: usize,
-    patch: f64,
-    rebuild: f64,
-    rebuild_p1: f64,
-    full_cycle: f64,
-    eigentrust: f64,
-    bytes_per_node: f64,
-    shard_count: usize,
-}
-
-fn bench_size(n: usize, reps: u32) -> SizeReport {
+fn bench_size(n: usize, report: &mut Report) {
     let config = ClosenessConfig::default();
     let setup = Instant::now();
     let (mut g, mut t, profiles) = env(n, 41);
@@ -153,19 +137,23 @@ fn bench_size(n: usize, reps: u32) -> SizeReport {
 
     // 1. Interaction repatch through the sharded store.
     let mut round = 0usize;
-    let patch = measure(reps, || {
-        interaction_dirt(&mut t, n, round);
-        round += 1;
-        std::hint::black_box(store.snapshot(&g, &t, &profiles, 0, config));
+    let patch = timing::measure(REPS, |rep| {
+        rep.time(|| {
+            interaction_dirt(&mut t, n, round);
+            round += 1;
+            std::hint::black_box(store.snapshot(&g, &t, &profiles, 0, config));
+        })
     });
     store_p1.snapshot(&g, &t, &profiles, 0, config); // untimed catch-up
 
     // 2. Structural churn, dirty-shard-only rebuild.
     let mut round = 0usize;
-    let rebuild = measure(reps, || {
-        structural_dirt(&mut g, n, round);
-        round += 1;
-        std::hint::black_box(store.snapshot(&g, &t, &profiles, 0, config));
+    let rebuild = timing::measure(REPS, |rep| {
+        rep.time(|| {
+            structural_dirt(&mut g, n, round);
+            round += 1;
+            std::hint::black_box(store.snapshot(&g, &t, &profiles, 0, config));
+        })
     });
     let snap = store.snapshot(&g, &t, &profiles, 0, config);
     let (bytes_per_node, shard_count) = (snap.bytes_per_node(), snap.shard_count());
@@ -174,10 +162,12 @@ fn bench_size(n: usize, reps: u32) -> SizeReport {
 
     // 3. The same churn against a single-shard store: full slab rebuild.
     let mut round = 0usize;
-    let rebuild_p1 = measure(reps, || {
-        structural_dirt(&mut g, n, round);
-        round += 1;
-        std::hint::black_box(store_p1.snapshot(&g, &t, &profiles, 0, config));
+    let rebuild_p1 = timing::measure(REPS, |rep| {
+        rep.time(|| {
+            structural_dirt(&mut g, n, round);
+            round += 1;
+            std::hint::black_box(store_p1.snapshot(&g, &t, &profiles, 0, config));
+        })
     });
     drop(store);
     drop(store_p1);
@@ -209,11 +199,12 @@ fn bench_size(n: usize, reps: u32) -> SizeReport {
         engine.end_cycle();
     };
     cycle(&mut engine, &mut rng); // untimed warm-up: builds the ctx snapshot
-    let full_cycle = measure(reps, || cycle(&mut engine, &mut rng));
+    let full_cycle = timing::measure(REPS, |rep| rep.time(|| cycle(&mut engine, &mut rng)));
     drop(engine);
     drop(ctx);
 
-    // 5. The reputation stage alone over a populated matrix.
+    // 5. The reputation stage alone over a populated matrix; each
+    //    repetition's batch of n/2 ratings is generated untimed.
     let mut rng = ChaCha8Rng::seed_from_u64(47);
     let rating = |rater: usize, rng: &mut ChaCha8Rng| {
         let ratee = (rater + rng.gen_range(1..n)) % n;
@@ -227,101 +218,46 @@ fn bench_size(n: usize, reps: u32) -> SizeReport {
         }
     }
     et.end_cycle();
-    let mut batches: Vec<Vec<Rating>> = (0..reps)
-        .map(|_| {
-            (0..n / 2)
-                .map(|_| {
-                    let rater = rng.gen_range(0..n);
-                    rating(rater, &mut rng)
-                })
-                .collect()
+    let eigentrust = timing::measure(REPS, |rep| {
+        let batch: Vec<Rating> = (0..n / 2)
+            .map(|_| {
+                let rater = rng.gen_range(0..n);
+                rating(rater, &mut rng)
+            })
+            .collect();
+        rep.time(|| {
+            for r in batch {
+                et.record(r);
+            }
+            et.end_cycle();
+            std::hint::black_box(et.reputations());
         })
-        .collect();
-    let eigentrust = measure(reps, || {
-        for r in batches.pop().expect("one batch per repetition") {
-            et.record(r);
-        }
-        et.end_cycle();
-        std::hint::black_box(et.reputations());
     });
-
     eprintln!(
-        "[scale {n}] patch {patch:.4}s, rebuild {rebuild:.4}s (P={shard_count}), \
-         rebuild_p1 {rebuild_p1:.4}s, full_cycle {full_cycle:.4}s, \
-         eigentrust {eigentrust:.4}s ({} iterations), {bytes_per_node:.1} bytes/node",
+        "[scale {n}] eigentrust: {} iterations in the last cycle",
         et.last_iterations()
     );
-    SizeReport {
-        n,
-        patch,
-        rebuild,
-        rebuild_p1,
-        full_cycle,
-        eigentrust,
-        bytes_per_node,
-        shard_count,
-    }
-}
 
-/// The vendored serde_json has no dynamic-map support, so the report —
-/// whose keys embed the measured sizes — is assembled by hand. Keys that
-/// should gate regressions end in `_seconds`; ratios and footprints are
-/// informational.
-fn write_report(reports: &[SizeReport], reps: u32, sizes: &str) {
-    let mut fields: Vec<String> = vec![
-        "\"bench\": \"scale\"".to_owned(),
-        format!("\"sizes\": \"{sizes}\""),
-        format!("\"reps\": {reps}"),
-    ];
-    for r in reports {
-        fields.push(format!("\"patch_{}_seconds\": {:.9}", r.n, r.patch));
-        fields.push(format!("\"rebuild_{}_seconds\": {:.9}", r.n, r.rebuild));
-        fields.push(format!(
-            "\"rebuild_p1_{}_seconds\": {:.9}",
-            r.n, r.rebuild_p1
-        ));
-        fields.push(format!(
-            "\"full_cycle_{}_seconds\": {:.9}",
-            r.n, r.full_cycle
-        ));
-        fields.push(format!(
-            "\"eigentrust_{}_seconds\": {:.9}",
-            r.n, r.eigentrust
-        ));
-        fields.push(format!(
-            "\"sharded_rebuild_speedup_{}\": {:.3}",
-            r.n,
-            r.rebuild_p1 / r.rebuild
-        ));
-        fields.push(format!("\"shard_count_{}\": {}", r.n, r.shard_count));
-        fields.push(format!(
-            "\"snapshot_bytes_per_node_{}\": {:.1}",
-            r.n, r.bytes_per_node
-        ));
-    }
-    let json = format!("{{\n  {}\n}}\n", fields.join(",\n  "));
-    let path = std::env::var("BENCH_SCALE_OUT").unwrap_or_else(|_| "BENCH_scale.json".to_owned());
-    std::fs::write(&path, json).expect("bench report is writable");
-    println!("[scale json] {} size(s) -> {path}", reports.len());
+    report.cell(&format!("patch_{n}"), patch);
+    report.cell(&format!("rebuild_{n}"), rebuild);
+    report.cell(&format!("rebuild_p1_{n}"), rebuild_p1);
+    report.cell(&format!("full_cycle_{n}"), full_cycle);
+    report.cell(&format!("eigentrust_{n}"), eigentrust);
+    report.put(
+        format!("sharded_rebuild_speedup_{n}"),
+        rebuild_p1.median / rebuild.median,
+    );
+    report.put(format!("shard_count_{n}"), shard_count);
+    report.put(format!("snapshot_bytes_per_node_{n}"), bytes_per_node);
 }
 
 fn main() {
-    // `--test` is accepted for CLI uniformity with the other bench
-    // binaries, but smoke runs shrink via SCALE_SIZES, not repetitions:
-    // the 10k cells are sub-millisecond, and a single repetition jitters
-    // past the bench_diff gate.
-    let _ = std::env::args().any(|a| a == "--test");
-    let reps = 3;
-    let sizes = std::env::var("SCALE_SIZES").unwrap_or_else(|_| "10000,100000,1000000".to_owned());
-    let parsed: Vec<usize> = sizes
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&n: &usize| n >= 2)
-        .collect();
-    assert!(
-        !parsed.is_empty(),
-        "SCALE_SIZES has no valid sizes: {sizes}"
-    );
-    let reports: Vec<SizeReport> = parsed.iter().map(|&n| bench_size(n, reps)).collect();
-    write_report(&reports, reps, &sizes);
+    let (listed, sizes) = timing::sizes("SCALE_SIZES", "10000,100000,1000000");
+    let mut report = Report::new("scale");
+    report.put("sizes", listed);
+    report.put("reps", REPS);
+    for n in sizes {
+        bench_size(n, &mut report);
+    }
+    report.write(&timing::out_dir());
 }

@@ -1,4 +1,4 @@
-//! Criterion bench — decision-provenance tracing overhead on full
+//! Tracing bench — decision-provenance tracing overhead on full
 //! simulation runs.
 //!
 //! Tracing must be cheap enough to leave on: the contract (DESIGN.md,
@@ -13,32 +13,24 @@
 //! * `full` — `SampleMode::Full`: every cycle records verdict, weight,
 //!   and rescale spans (the worst case `--trace-out` enables).
 //!
-//! The Criterion group runs at the paper's 200-node scale. Besides those
-//! cells, `main` re-measures the three modes with plain `Instant` timing
-//! on a 10k-node scenario — the scale the CSR-snapshot work targets — and
-//! writes the means plus overhead percentages to `BENCH_trace.json`
-//! (override the path with `BENCH_TRACE_OUT`) so CI can track the perf
-//! trajectory across PRs.
+//! The scenario has 10k nodes, the scale the CSR-snapshot work targets.
+//! Every cell is the median of `REPS` repetitions (see
+//! `socialtrust_bench::timing`); the medians and the overhead percentages
+//! derived from them land in `BENCH_trace.json` in `BENCH_OUT_DIR`
+//! (default: the workspace root).
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
-use serde::Serialize;
+use socialtrust_bench::timing::{self, Report};
 use socialtrust_sim::prelude::*;
 use socialtrust_telemetry::{EventSink, SampleMode, Telemetry, Tracer, TracerConfig};
-use std::time::Instant;
 
-/// The paper-scale scenario for the Criterion cells.
-fn scenario_paper() -> ScenarioConfig {
-    ScenarioConfig::paper_default()
-        .with_collusion(CollusionModel::PairWise)
-        .with_colluder_behavior(0.6)
-        .with_cycles(3)
-}
+/// Repetitions per cell; one 10k run takes a few seconds.
+const REPS: usize = 5;
 
-/// The 10k-node scenario for the committed JSON cells: paper proportions
-/// (15% colluders, ~5% pretrusted) scaled up 50x, with the query load
-/// trimmed so one run stays in bench-smoke territory. 16 simulation
-/// cycles so `Ratio(16)` gets its true 1-in-16 duty cycle rather than
-/// degenerating into "trace the only cycle".
+/// The 10k-node scenario: paper proportions (15% colluders, ~5%
+/// pretrusted) scaled up 50x, with the query load trimmed so one run
+/// stays in bench-smoke territory. 16 simulation cycles so `Ratio(16)`
+/// gets its true 1-in-16 duty cycle rather than degenerating into "trace
+/// the only cycle".
 fn scenario_10k() -> ScenarioConfig {
     let mut s = ScenarioConfig::paper_default()
         .with_collusion(CollusionModel::PairWise)
@@ -60,7 +52,7 @@ fn tracer_for(mode: Option<SampleMode>) -> Tracer {
 }
 
 /// One instrumented run; traces are drained afterwards so the ring buffer
-/// never carries state across iterations.
+/// never carries state across repetitions.
 fn run_traced(scenario: &ScenarioConfig, mode: Option<SampleMode>, seed: u64) -> usize {
     let telemetry = Telemetry::with_parts(EventSink::disabled(), tracer_for(mode));
     let result = run_scenario_with_telemetry(
@@ -79,95 +71,35 @@ fn run_traced(scenario: &ScenarioConfig, mode: Option<SampleMode>, seed: u64) ->
     spans
 }
 
-fn bench_tracing_overhead(c: &mut Criterion) {
-    let s = scenario_paper();
-    let mut group = c.benchmark_group("tracing_overhead/200_nodes_3_cycles");
-    group.sample_size(10);
-    let modes: [(&str, Option<SampleMode>); 3] = [
-        ("off", None),
-        ("sampled_1_in_16", Some(SampleMode::Ratio(16))),
-        ("full", Some(SampleMode::Full)),
-    ];
-    for (label, mode) in modes {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &s, |bench, s| {
-            bench.iter(|| std::hint::black_box(run_traced(s, mode, 42)));
-        });
-    }
-    group.finish();
-}
-
-/// The flat JSON object written for cross-PR perf tracking.
-#[derive(Serialize)]
-struct BenchReport {
-    bench: &'static str,
-    nodes: usize,
-    sim_cycles: usize,
-    reps: u32,
-    spans_recorded_full: usize,
-    tracing_off_seconds: f64,
-    tracing_sampled_seconds: f64,
-    tracing_full_seconds: f64,
-    sampled_overhead_percent: f64,
-    full_overhead_percent: f64,
-}
-
-/// Mean seconds per run of `routine` over `reps` timed repetitions.
-fn measure<F: FnMut()>(reps: u32, mut routine: F) -> f64 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        routine();
-    }
-    start.elapsed().as_secs_f64() / reps as f64
-}
-
-/// Re-measure the three modes with plain wall-clock timing on the
-/// 10k-node scenario and write the result for cross-PR tracking.
-fn write_bench_json(reps: u32) {
+fn main() {
     let s = scenario_10k();
     // Warm-up run so first-touch costs (page faults, allocator growth)
     // don't land in the `off` baseline.
     let spans_full = run_traced(&s, Some(SampleMode::Full), 42);
-
-    let off = measure(reps, || {
-        run_traced(&s, None, 42);
-    });
-    let sampled = measure(reps, || {
-        run_traced(&s, Some(SampleMode::Ratio(16)), 42);
-    });
-    let full = measure(reps, || {
-        run_traced(&s, Some(SampleMode::Full), 42);
-    });
-
-    let report = BenchReport {
-        bench: "trace",
-        nodes: s.nodes,
-        sim_cycles: s.sim_cycles,
-        reps,
-        spans_recorded_full: spans_full,
-        tracing_off_seconds: off,
-        tracing_sampled_seconds: sampled,
-        tracing_full_seconds: full,
-        sampled_overhead_percent: 100.0 * (sampled / off - 1.0),
-        full_overhead_percent: 100.0 * (full / off - 1.0),
+    let cell = |mode| {
+        timing::measure(REPS, |rep| {
+            rep.time(|| run_traced(&s, mode, 42));
+        })
     };
-    let path = std::env::var("BENCH_TRACE_OUT").unwrap_or_else(|_| "BENCH_trace.json".to_owned());
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&report).expect("report serializes"),
-    )
-    .expect("bench report is writable");
-    println!(
-        "[trace json] off {off:.3}s, sampled {sampled:.3}s ({:+.2}%), full {full:.3}s ({:+.2}%) -> {path}",
-        report.sampled_overhead_percent, report.full_overhead_percent
+    let off = cell(None);
+    let sampled = cell(Some(SampleMode::Ratio(16)));
+    let full = cell(Some(SampleMode::Full));
+
+    let mut report = Report::new("trace");
+    report.put("nodes", s.nodes);
+    report.put("sim_cycles", s.sim_cycles);
+    report.put("reps", REPS);
+    report.put("spans_recorded_full", spans_full);
+    report.cell("tracing_off", off);
+    report.cell("tracing_sampled", sampled);
+    report.cell("tracing_full", full);
+    report.put(
+        "sampled_overhead_percent",
+        100.0 * (sampled.median / off.median - 1.0),
     );
-}
-
-criterion_group!(benches, bench_tracing_overhead);
-
-fn main() {
-    let mut criterion = Criterion::default();
-    benches(&mut criterion);
-    // Smoke mode (`--test`) keeps the JSON pass to a single repetition.
-    let smoke = std::env::args().any(|a| a == "--test");
-    write_bench_json(if smoke { 1 } else { 3 });
+    report.put(
+        "full_overhead_percent",
+        100.0 * (full.median / off.median - 1.0),
+    );
+    report.write(&timing::out_dir());
 }

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! SocialTrust paper's evaluation (Section 5) plus the Section-3 trace
-//! analysis (Figures 1–4), and the Criterion benches for the
-//! performance-critical kernels.
+//! analysis (Figures 1–4), and the timing harness ([`timing`]) behind the
+//! gated benches.
 //!
 //! One binary per experiment lives in `src/bin/`; run e.g.
 //!
@@ -22,6 +22,8 @@
 //!   50 cycles, seed 1000 — the paper's setup).
 
 #![forbid(unsafe_code)]
+
+pub mod timing;
 
 use std::fs;
 use std::path::PathBuf;

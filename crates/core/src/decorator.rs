@@ -23,7 +23,6 @@
 //! decorator never assumes (or pays for) a full coefficient recompute per
 //! cycle.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use socialtrust_reputation::rating::{PairKey, Rating, RatingLedger};
@@ -220,9 +219,12 @@ struct WeightProvenance {
     width_s: f64,
 }
 
+/// One adjusted pair: its Gaussian weight and the kernel inputs behind it.
+type Weighted = (PairKey, f64, WeightProvenance);
+
 /// The Gaussian weight for one suspicion plus the kernel inputs that
-/// produced it. The weight is bit-identical to [`weight_for`] — same
-/// arithmetic path — so the traced value is exactly the applied one.
+/// produced it, so the traced value is exactly the applied one. Free
+/// function for the same `R: Sync` reason as [`rater_stats`].
 fn weight_explained(
     config: &SocialTrustConfig,
     ledger: &RatingLedger,
@@ -265,28 +267,17 @@ fn weight_explained(
     )
 }
 
-/// The Gaussian weight for one suspicion, per the configured adjustment
-/// mode. Free function for the same `R: Sync` reason as [`rater_stats`].
-fn weight_for(
-    config: &SocialTrustConfig,
-    ledger: &RatingLedger,
-    snapshot: &GraphSnapshot,
-    suspicion: &Suspicion,
-) -> f64 {
-    weight_explained(config, ledger, snapshot, suspicion).0
-}
-
 /// Lookup in a pair-sorted weight list. The cycle's weights live in a
 /// sorted `Vec` rather than a map: the list is built once per cycle, read
-/// many times (once per buffered rating), and then *becomes*
-/// `last_weights` — no per-cycle map allocation, no rehash, no final
-/// drain-and-sort copy.
+/// many times (once per buffered rating), and then drops its provenance
+/// to become `last_weights` — no per-cycle map allocation, no rehash, no
+/// final sort.
 #[inline]
-fn weight_of(weights: &[(PairKey, f64)], pair: PairKey) -> Option<f64> {
+fn weight_of(weights: &[Weighted], pair: PairKey) -> Option<&Weighted> {
     weights
-        .binary_search_by_key(&pair, |&(k, _)| k)
+        .binary_search_by_key(&pair, |&(k, _, _)| k)
         .ok()
-        .map(|idx| weights[idx].1)
+        .map(|idx| &weights[idx])
 }
 
 impl<R: ReputationSystem> ReputationSystem for WithSocialTrust<R> {
@@ -336,38 +327,19 @@ impl<R: ReputationSystem> ReputationSystem for WithSocialTrust<R> {
             use rayon::prelude::*;
             let snapshot = ctx.snapshot(self.config.closeness);
             let (config, ledger) = (&self.config, &self.ledger);
-            // When this cycle's trace records, the same parallel pass also
-            // keeps the kernel inputs (`WeightProvenance`) per pair, so the
-            // span-recording loop below never redoes coefficient work; the
-            // weight comes off the identical arithmetic path either way.
-            let recording = gaussian_span.is_some();
-            let mut provenance: HashMap<PairKey, WeightProvenance> = HashMap::new();
-            // Weights live in a pair-sorted Vec rather than a map: built
-            // once, probed by binary search in the rescale pass below, and
-            // handed to `last_weights` at cycle end without the
-            // drain-and-sort copy a map would force.
-            let mut weights: Vec<(PairKey, f64)> = if recording {
-                let explained: Vec<(PairKey, f64, WeightProvenance)> = suspicions
-                    .par_iter()
-                    .map(|s| {
-                        let (w, prov) = weight_explained(config, ledger, &snapshot, s);
-                        ((s.rater, s.ratee), w, prov)
-                    })
-                    .collect();
-                explained
-                    .into_iter()
-                    .map(|(pair, w, prov)| {
-                        provenance.insert(pair, prov);
-                        (pair, w)
-                    })
-                    .collect()
-            } else {
-                suspicions
-                    .par_iter()
-                    .map(|s| ((s.rater, s.ratee), weight_for(config, ledger, &snapshot, s)))
-                    .collect()
-            };
-            weights.sort_unstable_by_key(|&(k, _)| k);
+            // Each weight is kept beside the kernel inputs that produced it
+            // (`WeightProvenance`), so the span-recording loop below never
+            // redoes coefficient work. Weights live in a pair-sorted Vec
+            // rather than a map: built once, probed by binary search in the
+            // rescale pass below.
+            let mut weights: Vec<Weighted> = suspicions
+                .par_iter()
+                .map(|s| {
+                    let (w, prov) = weight_explained(config, ledger, &snapshot, s);
+                    ((s.rater, s.ratee), w, prov)
+                })
+                .collect();
+            weights.sort_unstable_by_key(|&(k, _, _)| k);
             // Suspicion hysteresis: pairs flagged in recent intervals keep
             // being adjusted even if this interval's conditions lapsed
             // (e.g. the ratee's reputation briefly crossed T_R). The weight
@@ -397,20 +369,12 @@ impl<R: ReputationSystem> ReputationSystem for WithSocialTrust<R> {
                             self.config.weighted_similarity,
                         ),
                     };
-                    if recording {
-                        let (w, prov) = weight_explained(config, ledger, &snapshot, &ghost);
-                        weights.push(((rater, ratee), w));
-                        provenance.insert((rater, ratee), prov);
-                    } else {
-                        weights.push((
-                            (rater, ratee),
-                            weight_for(config, ledger, &snapshot, &ghost),
-                        ));
-                    }
+                    let (w, prov) = weight_explained(config, ledger, &snapshot, &ghost);
+                    weights.push(((rater, ratee), w, prov));
                     ghosts.push(ghost);
                 }
                 if weights.len() > flagged_len {
-                    weights.sort_unstable_by_key(|&(k, _)| k);
+                    weights.sort_unstable_by_key(|&(k, _, _)| k);
                 }
             }
             // Provenance: one `gaussian_weight` child per adjusted pair,
@@ -420,10 +384,7 @@ impl<R: ReputationSystem> ReputationSystem for WithSocialTrust<R> {
                 let flagged = suspicions.iter().map(|s| (s, false));
                 let remembered = ghosts.iter().map(|g| (g, true));
                 for (s, is_ghost) in flagged.chain(remembered) {
-                    let pair = (s.rater, s.ratee);
-                    let (Some(weight), Some(prov)) =
-                        (weight_of(&weights, pair), provenance.get(&pair))
-                    else {
+                    let Some((_, weight, prov)) = weight_of(&weights, (s.rater, s.ratee)) else {
                         continue;
                     };
                     let mut span = parent.child(trace_names::WEIGHT);
@@ -438,7 +399,7 @@ impl<R: ReputationSystem> ReputationSystem for WithSocialTrust<R> {
                     span.set_attr("mean_s", prov.mean_s);
                     span.set_attr("width_s", prov.width_s);
                     span.set_attr("alpha", config.alpha);
-                    span.set_attr("weight", weight);
+                    span.set_attr("weight", *weight);
                 }
             }
             drop(gaussian_span);
@@ -451,7 +412,7 @@ impl<R: ReputationSystem> ReputationSystem for WithSocialTrust<R> {
         let mut rescaled_this_cycle = 0u64;
         let rescale_span = tracer.child(trace_names::RESCALE);
         for mut rating in std::mem::take(&mut self.buffer) {
-            if let Some(w) = weight_of(&weights, (rating.rater, rating.ratee)) {
+            if let Some(&(_, w, _)) = weight_of(&weights, (rating.rater, rating.ratee)) {
                 if let Some(parent) = rescale_span.as_ref() {
                     let mut span = parent.child(trace_names::RESCALED_RATING);
                     span.set_attr("rater", rating.rater.index());
@@ -505,9 +466,9 @@ impl<R: ReputationSystem> ReputationSystem for WithSocialTrust<R> {
             }
         }
         self.last_suspicions = suspicions;
-        // Already pair-sorted; becomes the cycle's published weight list
-        // with a move instead of a drain-and-sort.
-        self.last_weights = weights;
+        // Already pair-sorted; the cycle's published weight list drops the
+        // provenance without a re-sort.
+        self.last_weights = weights.into_iter().map(|(pair, w, _)| (pair, w)).collect();
         self.cycles_completed += 1;
     }
 

@@ -38,7 +38,6 @@ pub mod average;
 pub mod ebay;
 pub mod eigentrust;
 pub mod feedback_similarity;
-pub mod gossip;
 pub mod normalize;
 pub mod power_trust;
 pub mod rating;
@@ -50,7 +49,6 @@ pub mod prelude {
     pub use crate::ebay::EBayModel;
     pub use crate::eigentrust::{EigenTrust, EigenTrustConfig};
     pub use crate::feedback_similarity::FeedbackSimilarity;
-    pub use crate::gossip::PushSum;
     pub use crate::power_trust::{PowerTrust, PowerTrustConfig};
     pub use crate::rating::{PairKey, PairStats, Rating, RatingLedger};
     pub use crate::system::ReputationSystem;

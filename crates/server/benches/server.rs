@@ -1,25 +1,26 @@
 //! Server bench — streaming ingest and loopback HTTP query throughput.
 //!
-//! For every size in `SERVER_SIZES` (default `10000,100000`) this boots a
-//! real daemon (ephemeral port, long tick interval so the recompute thread
-//! stays out of the timed windows) and measures:
+//! For every size in `SERVER_SIZES` (default `10000,100000`) this boots
+//! real daemons (ephemeral port, long tick interval so the recompute
+//! thread stays out of the timed windows) and measures, each cell as the
+//! median of `REPS` repetitions (see `socialtrust_bench::timing`):
 //!
 //! 1. `ingest_{n}_seconds`: wall time for the ingest thread to tail,
 //!    parse, and apply a pre-rendered JSONL batch (edge/profile bootstrap
 //!    plus five ratings per sampled rater) appended to the log in one
-//!    write — the daemon's end-to-end ingest path. The informational
-//!    `ingest_{n}_events_per_sec` is the same number as a rate.
+//!    write — the daemon's end-to-end ingest path. Each repetition boots
+//!    a fresh daemon over an empty log, untimed; the last one serves the
+//!    query cells. The informational `ingest_{n}_events_per_sec` is the
+//!    same number as a rate.
 //!
 //! 2. `query_{n}_seconds`: wall time for `QUERIES` sequential
 //!    `GET /score/{node}` requests over **one keep-alive connection**
 //!    (reconnecting transparently if the server retires it at the
 //!    per-connection request cap), after one forced tick published a
-//!    board. This is the primary query-plane cell the ISSUE's ≥10×
-//!    target applies to; `query_{n}_requests_per_sec` is informational.
+//!    board; `query_{n}_requests_per_sec` is informational.
 //!
-//! 3. `query_close_{n}_seconds`: the PR-8 shape — one fresh connection
-//!    per request (`Connection: close`) — kept as the comparison cell
-//!    for the keep-alive win.
+//! 3. `query_close_{n}_seconds`: one fresh connection per request
+//!    (`Connection: close`), the comparison cell for the keep-alive win.
 //!
 //! 4. `query_c4_{n}_seconds` / `query_c16_{n}_seconds`: `CONC_QUERIES`
 //!    requests spread over 4 / 16 concurrent keep-alive connections
@@ -32,41 +33,38 @@
 //!    effectively off (1-hour sampling interval), warmed to the same
 //!    substrate via `--replay`. Because the bound being checked is
 //!    small (< 5%), this pair uses its own longer window —
-//!    `OVERHEAD_QUERIES` requests, warmed up, best of
-//!    `OVERHEAD_ROUNDS` — instead of the short cell-2 loop. The
-//!    reported key is the recorder-off side; the informational
+//!    `OVERHEAD_QUERIES` requests after `OVERHEAD_WARMUP` untimed ones —
+//!    instead of the short cell-2 loop. The reported key is the
+//!    recorder-off side; the informational
 //!    `recorder_overhead_{n}_percent` is the relative cost of the
-//!    recorder on the query plane (the PR-10 acceptance bound is < 5%).
+//!    recorder on the query plane (the acceptance bound is < 5%).
 //!
 //! 6. `replay_{n}_seconds`: wall time of `start()` with `replay: true`
-//!    over cell 1's log, best of `REPLAY_ROUNDS` starts (the last one is
-//!    cell 5's recorder-off daemon). Each start reads, parses and applies
-//!    the whole batch (≈0.6 MB at 10k nodes, ≈6 MB at 100k) and ticks
-//!    once before it binds, so restart cost must stay linear in backlog
-//!    bytes.
+//!    over cell 1's log. Each start reads, parses and applies the whole
+//!    batch (≈0.6 MB at 10k nodes, ≈6 MB at 100k) and ticks once before
+//!    it binds, so restart cost must stay linear in backlog bytes.
 //!
-//! Results land in `BENCH_server.json` (override with `BENCH_SERVER_OUT`);
-//! `_seconds` keys are gated by `scripts/bench_diff.sh`. `--test` is
-//! accepted for CLI uniformity; CI smoke shrinks via `SERVER_SIZES=10000`.
+//! Results land in `BENCH_server.json` in `BENCH_OUT_DIR` (default: the
+//! workspace root). CI's smoke run sets `SERVER_SIZES=10000`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use socialtrust_bench::timing::{self, Cell, Report};
 use socialtrust_server::event::{render_event, RelKind, ServerEvent};
 use socialtrust_server::service::ServiceConfig;
-use socialtrust_server::{start, ServerConfig};
+use socialtrust_server::{start, ServerConfig, ServerHandle};
 
+/// Repetitions per cell, at every size.
+const REPS: usize = 11;
 const QUERIES: usize = 2000;
 const CONC_QUERIES: usize = 8000;
 /// The recorder-overhead pair discriminates a < 5% delta, so it gets a
 /// much longer timed window than the throughput cells (~200 ms per
-/// round at loopback rates) plus warmup and best-of-rounds.
+/// repetition at loopback rates) after an untimed warm-up.
 const OVERHEAD_QUERIES: usize = 20_000;
 const OVERHEAD_WARMUP: usize = 2_000;
-const OVERHEAD_ROUNDS: usize = 3;
-/// Cell 6 reports the fastest of this many replaying starts.
-const REPLAY_ROUNDS: usize = 3;
 
 /// Deterministic event batch: a ring of friendships, sparse interest
 /// profiles, and five ratings per sampled rater.
@@ -217,68 +215,44 @@ impl KeepAliveClient {
     }
 }
 
-struct SizeReport {
-    n: usize,
-    events: usize,
-    ingest: f64,
-    query: f64,
-    query_close: f64,
-    query_c4: f64,
-    query_c16: f64,
-    query_rec: f64,
-    query_norec: f64,
-    replay: f64,
+/// `count` sequential `GET /score/{node}` requests on one client,
+/// striding through the nodes from `first`.
+fn score_queries(client: &mut KeepAliveClient, n: usize, first: usize, count: usize) {
+    for k in 0..count {
+        let node = (first + k * 37) % n;
+        std::hint::black_box(client.get(&format!("/score/{node}")));
+    }
 }
 
-/// The recorder-overhead measurement loop: one keep-alive connection,
-/// `OVERHEAD_WARMUP` untimed requests, then the best (minimum) of
-/// `OVERHEAD_ROUNDS` timed rounds of `OVERHEAD_QUERIES` requests each.
-/// Min-of-rounds suppresses scheduler noise, which would otherwise
-/// swamp a single-digit-percent delta.
-fn overhead_cell(addr: SocketAddr, n: usize) -> f64 {
-    let mut client = KeepAliveClient::connect(addr);
-    for k in 0..OVERHEAD_WARMUP {
-        let node = (k * 37) % n;
-        let response = client.get(&format!("/score/{node}"));
-        std::hint::black_box(&response);
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..OVERHEAD_ROUNDS {
-        let started = Instant::now();
-        for k in 0..OVERHEAD_QUERIES {
-            let node = (k * 37) % n;
-            let response = client.get(&format!("/score/{node}"));
-            std::hint::black_box(&response);
-        }
-        best = best.min(started.elapsed().as_secs_f64());
-    }
-    best
+/// A keep-alive query cell: each repetition connects, checks one probe
+/// response and sends `warmup` requests, all untimed, then times `count`
+/// requests on the same connection.
+fn keep_alive_cell(addr: SocketAddr, n: usize, warmup: usize, count: usize) -> Cell {
+    timing::measure(REPS, |rep| {
+        let mut client = KeepAliveClient::connect(addr);
+        let probe = client.get("/score/0");
+        assert!(probe.contains("\"score\":"), "probe response: {probe}");
+        score_queries(&mut client, n, 0, warmup);
+        rep.time(|| score_queries(&mut client, n, 0, count));
+    })
 }
 
 /// `total` sequential keep-alive requests spread over `clients` threads.
-fn run_concurrent(addr: SocketAddr, n: usize, clients: usize, total: usize) -> f64 {
-    let per_client = total / clients;
-    let started = Instant::now();
+fn run_concurrent(addr: SocketAddr, n: usize, clients: usize, total: usize) {
     std::thread::scope(|scope| {
         for c in 0..clients {
             scope.spawn(move || {
                 let mut client = KeepAliveClient::connect(addr);
-                for k in 0..per_client {
-                    let node = (c * 7919 + k * 37) % n;
-                    let response = client.get(&format!("/score/{node}"));
-                    std::hint::black_box(&response);
-                }
+                score_queries(&mut client, n, c * 7919, total / clients);
             });
         }
     });
-    started.elapsed().as_secs_f64()
 }
 
-fn bench_size(n: usize) -> SizeReport {
+fn bench_size(n: usize, report: &mut Report) {
     let dir = std::env::temp_dir().join(format!("st-server-bench-{n}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench temp dir");
     let log_path = dir.join("events.jsonl");
-    std::fs::write(&log_path, b"").expect("create log");
 
     let events = event_batch(n);
     let mut payload = String::with_capacity(events.len() * 48);
@@ -287,7 +261,7 @@ fn bench_size(n: usize) -> SizeReport {
         payload.push('\n');
     }
 
-    let handle = start(ServerConfig {
+    let primary_config = ServerConfig {
         log_path: log_path.clone(),
         listen: "127.0.0.1:0".to_owned(),
         service: ServiceConfig {
@@ -302,207 +276,124 @@ fn bench_size(n: usize) -> SizeReport {
         workers: 4,
         replay: false,
         ..ServerConfig::default()
-    })
-    .expect("bench server boots");
-    let state = handle.state().clone();
+    };
 
-    // 1. Ingest: append the whole batch, then wait for the tail thread to
-    //    parse and apply every event.
+    // 1. Ingest: a fresh daemon over an empty log per repetition, then
+    //    append the whole batch and wait for the tail thread to parse and
+    //    apply every event.
     let total = events.len() as u64;
-    let started = Instant::now();
-    {
-        use std::io::Write as _;
-        let mut log = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&log_path)
-            .expect("open log for append");
-        log.write_all(payload.as_bytes()).expect("append events");
-        log.flush().expect("flush log");
-    }
-    while state.events_ingested().get() < total {
-        assert!(
-            started.elapsed() < Duration::from_secs(600),
-            "ingest stalled at {}/{total}",
-            state.events_ingested().get()
-        );
-        std::thread::yield_now();
-    }
-    let ingest = started.elapsed().as_secs_f64();
+    let mut primary: Option<ServerHandle> = None;
+    let ingest = timing::measure(REPS, |rep| {
+        if let Some(previous) = primary.take() {
+            previous.shutdown();
+        }
+        std::fs::write(&log_path, b"").expect("create log");
+        let handle = start(primary_config.clone()).expect("bench server boots");
+        let state = handle.state().clone();
+        rep.time(|| {
+            let mut log = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&log_path)
+                .expect("open log for append");
+            log.write_all(payload.as_bytes()).expect("append events");
+            log.flush().expect("flush log");
+            let started = Instant::now();
+            while state.events_ingested().get() < total {
+                assert!(
+                    started.elapsed() < Duration::from_secs(600),
+                    "ingest stalled at {}/{total}",
+                    state.events_ingested().get()
+                );
+                std::thread::yield_now();
+            }
+        });
+        primary = Some(handle);
+    });
+    let handle = primary.expect("at least one repetition");
 
     // 2. Queries against a published board: keep-alive sequential (the
-    //    primary cell), close-per-request (the PR-8 comparison), then
-    //    the 4/16-connection concurrency cells.
-    assert!(state.force_tick(), "tick covers the ingested batch");
-    let mut client = KeepAliveClient::connect(handle.addr());
-    let probe = client.get("/score/0");
-    assert!(probe.contains("\"score\":"), "probe response: {probe}");
-    let started = Instant::now();
-    for k in 0..QUERIES {
-        let node = (k * 37) % n;
-        let response = client.get(&format!("/score/{node}"));
-        std::hint::black_box(&response);
-    }
-    let query = started.elapsed().as_secs_f64();
-
-    let started = Instant::now();
-    for k in 0..QUERIES {
-        let node = (k * 37) % n;
-        let response = http_get_close(handle.addr(), &format!("/score/{node}"));
-        std::hint::black_box(&response);
-    }
-    let query_close = started.elapsed().as_secs_f64();
-
-    let query_c4 = run_concurrent(handle.addr(), n, 4, CONC_QUERIES);
-    let query_c16 = run_concurrent(handle.addr(), n, 16, CONC_QUERIES);
+    //    primary cell), close-per-request, then the 4/16-connection
+    //    concurrency cells.
+    assert!(
+        handle.state().force_tick(),
+        "tick covers the ingested batch"
+    );
+    let addr = handle.addr();
+    let query = keep_alive_cell(addr, n, 0, QUERIES);
+    let query_close = timing::measure(REPS, |rep| {
+        rep.time(|| {
+            for k in 0..QUERIES {
+                let node = (k * 37) % n;
+                std::hint::black_box(http_get_close(addr, &format!("/score/{node}")));
+            }
+        })
+    });
+    let query_c4 = timing::measure(REPS, |rep| {
+        rep.time(|| run_concurrent(addr, n, 4, CONC_QUERIES))
+    });
+    let query_c16 = timing::measure(REPS, |rep| {
+        rep.time(|| run_concurrent(addr, n, 16, CONC_QUERIES))
+    });
 
     // 3. Recorder-overhead pair: the long warmed loop against the
     //    primary daemon (recorder at the default 250 ms) ...
-    let query_rec = overhead_cell(handle.addr(), n);
+    let query_rec = keep_alive_cell(addr, n, OVERHEAD_WARMUP, OVERHEAD_QUERIES);
     handle.shutdown();
 
-    //    ... and against a second daemon over the same log (warmed via
-    //    replay, which cell 6 times) with an hour-long sampling interval,
-    //    so the delta isolates the flight recorder.
+    //    ... and against a daemon over the same log (warmed via replay,
+    //    which cell 6 times) with an hour-long sampling interval, so the
+    //    delta isolates the flight recorder.
     let norec_config = ServerConfig {
-        log_path: log_path.clone(),
-        listen: "127.0.0.1:0".to_owned(),
-        service: ServiceConfig {
-            nodes: n,
-            interests: 40,
-            pretrusted: 32.min(n),
-            ..ServiceConfig::default()
-        },
-        tick_interval: Duration::from_secs(3600),
-        workers: 4,
         replay: true,
         record_interval: Duration::from_secs(3600),
-        ..ServerConfig::default()
+        ..primary_config
     };
-    let mut replay = f64::INFINITY;
-    for _ in 1..REPLAY_ROUNDS {
-        let started = Instant::now();
-        let daemon = start(norec_config.clone()).expect("replaying bench server boots");
-        replay = replay.min(started.elapsed().as_secs_f64());
-        daemon.shutdown();
-    }
-    let started = Instant::now();
+    let replay = timing::measure(REPS, |rep| {
+        let config = norec_config.clone();
+        rep.time(|| start(config).expect("replaying bench server boots"))
+            .shutdown();
+    });
     let norec = start(norec_config).expect("recorder-off bench server boots");
-    let replay = replay.min(started.elapsed().as_secs_f64());
-    let mut client = KeepAliveClient::connect(norec.addr());
-    let probe = client.get("/score/0");
-    assert!(probe.contains("\"score\":"), "norec probe: {probe}");
-    let query_norec = overhead_cell(norec.addr(), n);
+    let query_norec = keep_alive_cell(norec.addr(), n, OVERHEAD_WARMUP, OVERHEAD_QUERIES);
     norec.shutdown();
-
     let _ = std::fs::remove_dir_all(&dir);
-    eprintln!(
-        "[server {n}] ingest {ingest:.4}s ({:.0} ev/s over {} events), \
-         keep-alive {query:.4}s ({:.0} req/s), close {query_close:.4}s ({:.0} req/s), \
-         c4 {query_c4:.4}s ({:.0} req/s), c16 {query_c16:.4}s ({:.0} req/s), \
-         recorder pair {query_rec:.4}s vs {query_norec:.4}s (overhead {:+.2}%), \
-         replay {replay:.4}s ({:.0} ev/s)",
-        total as f64 / ingest,
-        events.len(),
-        QUERIES as f64 / query,
-        QUERIES as f64 / query_close,
-        CONC_QUERIES as f64 / query_c4,
-        CONC_QUERIES as f64 / query_c16,
-        (query_rec / query_norec - 1.0) * 100.0,
-        total as f64 / replay,
-    );
-    SizeReport {
-        n,
-        events: events.len(),
-        ingest,
-        query,
-        query_close,
-        query_c4,
-        query_c16,
-        query_rec,
-        query_norec,
-        replay,
-    }
-}
 
-/// Hand-assembled report (the vendored serde_json has no dynamic maps).
-/// Keys ending in `_seconds` gate regressions; rates are informational.
-fn write_report(reports: &[SizeReport], sizes: &str) {
-    let mut fields: Vec<String> = vec![
-        "\"bench\": \"server\"".to_owned(),
-        format!("\"sizes\": \"{sizes}\""),
-        format!("\"queries\": {QUERIES}"),
-        format!("\"concurrent_queries\": {CONC_QUERIES}"),
-        format!("\"overhead_queries\": {OVERHEAD_QUERIES}"),
-    ];
-    for r in reports {
-        fields.push(format!("\"ingest_{}_seconds\": {:.9}", r.n, r.ingest));
-        fields.push(format!("\"query_{}_seconds\": {:.9}", r.n, r.query));
-        fields.push(format!(
-            "\"query_close_{}_seconds\": {:.9}",
-            r.n, r.query_close
-        ));
-        fields.push(format!("\"query_c4_{}_seconds\": {:.9}", r.n, r.query_c4));
-        fields.push(format!("\"query_c16_{}_seconds\": {:.9}", r.n, r.query_c16));
-        fields.push(format!(
-            "\"query_norec_{}_seconds\": {:.9}",
-            r.n, r.query_norec
-        ));
-        fields.push(format!("\"replay_{}_seconds\": {:.9}", r.n, r.replay));
-        fields.push(format!(
-            "\"recorder_overhead_{}_percent\": {:.3}",
-            r.n,
-            (r.query_rec / r.query_norec - 1.0) * 100.0
-        ));
-        fields.push(format!("\"ingest_{}_events\": {}", r.n, r.events));
-        fields.push(format!(
-            "\"ingest_{}_events_per_sec\": {:.1}",
-            r.n,
-            r.events as f64 / r.ingest
-        ));
-        fields.push(format!(
-            "\"query_{}_requests_per_sec\": {:.1}",
-            r.n,
-            QUERIES as f64 / r.query
-        ));
-        fields.push(format!(
-            "\"query_close_{}_requests_per_sec\": {:.1}",
-            r.n,
-            QUERIES as f64 / r.query_close
-        ));
-        fields.push(format!(
-            "\"query_c4_{}_requests_per_sec\": {:.1}",
-            r.n,
-            CONC_QUERIES as f64 / r.query_c4
-        ));
-        fields.push(format!(
-            "\"query_c16_{}_requests_per_sec\": {:.1}",
-            r.n,
-            CONC_QUERIES as f64 / r.query_c16
-        ));
-        fields.push(format!(
-            "\"query_norec_{}_requests_per_sec\": {:.1}",
-            r.n,
-            OVERHEAD_QUERIES as f64 / r.query_norec
-        ));
+    report.cell(&format!("ingest_{n}"), ingest);
+    report.put(format!("ingest_{n}_events"), events.len());
+    report.put(
+        format!("ingest_{n}_events_per_sec"),
+        events.len() as f64 / ingest.median,
+    );
+    for (stem, requests, cell) in [
+        ("query", QUERIES, query),
+        ("query_close", QUERIES, query_close),
+        ("query_c4", CONC_QUERIES, query_c4),
+        ("query_c16", CONC_QUERIES, query_c16),
+        ("query_norec", OVERHEAD_QUERIES, query_norec),
+    ] {
+        report.cell(&format!("{stem}_{n}"), cell);
+        report.put(
+            format!("{stem}_{n}_requests_per_sec"),
+            requests as f64 / cell.median,
+        );
     }
-    let json = format!("{{\n  {}\n}}\n", fields.join(",\n  "));
-    let path = std::env::var("BENCH_SERVER_OUT").unwrap_or_else(|_| "BENCH_server.json".to_owned());
-    std::fs::write(&path, json).expect("bench report is writable");
-    println!("[server json] {} size(s) -> {path}", reports.len());
+    report.put(
+        format!("recorder_overhead_{n}_percent"),
+        (query_rec.median / query_norec.median - 1.0) * 100.0,
+    );
+    report.cell(&format!("replay_{n}"), replay);
 }
 
 fn main() {
-    let _ = std::env::args().any(|a| a == "--test");
-    let sizes = std::env::var("SERVER_SIZES").unwrap_or_else(|_| "10000,100000".to_owned());
-    let parsed: Vec<usize> = sizes
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&n: &usize| n >= 2)
-        .collect();
-    assert!(
-        !parsed.is_empty(),
-        "SERVER_SIZES has no valid sizes: {sizes}"
-    );
-    let reports: Vec<SizeReport> = parsed.iter().map(|&n| bench_size(n)).collect();
-    write_report(&reports, &sizes);
+    let (listed, sizes) = timing::sizes("SERVER_SIZES", "10000,100000");
+    let mut report = Report::new("server");
+    report.put("sizes", listed);
+    report.put("reps", REPS);
+    report.put("queries", QUERIES);
+    report.put("concurrent_queries", CONC_QUERIES);
+    report.put("overhead_queries", OVERHEAD_QUERIES);
+    for n in sizes {
+        bench_size(n, &mut report);
+    }
+    report.write(&timing::out_dir());
 }

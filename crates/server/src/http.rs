@@ -9,7 +9,9 @@
 //!   order), responses honor the `Connection:` header (HTTP/1.1 defaults
 //!   to keep-alive, HTTP/1.0 to close), and a connection is retired after
 //!   [`ServerConfig::http_max_requests`] requests or
-//!   [`ServerConfig::http_idle_timeout`] of silence.
+//!   [`ServerConfig::http_idle_timeout`] of silence. A closing
+//!   connection shuts its write side and waits for the peer's EOF before
+//!   it drops the socket.
 //! * **Readiness-based event loop** — workers block in `poll(2)` (direct
 //!   FFI, mirroring the `signal(2)` FFI in `main.rs`) on the shared
 //!   listener plus their live connections, instead of the old 300µs
@@ -51,7 +53,7 @@
 //! aggregate `server_http_request_seconds` histogram.
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,7 +79,6 @@ const DRAIN_FLUSH_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Minimal `poll(2)` FFI. Linux/macOS share the event bit values used
 /// here; `nfds_t` differs (`c_ulong` vs `c_uint`).
-#[cfg(unix)]
 mod sys {
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -112,40 +113,6 @@ mod sys {
 
     pub fn raw_fd(stream: &impl std::os::unix::io::AsRawFd) -> i32 {
         stream.as_raw_fd()
-    }
-}
-
-/// Portability fallback: no readiness notification, so report every fd
-/// ready after a short sleep and let the non-blocking reads/writes
-/// return `WouldBlock`. Costs ~1k wakeups/s per worker, like the old
-/// sleep-poll loop; only the FFI path is exercised on unix.
-#[cfg(not(unix))]
-mod sys {
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
-
-    pub fn wait(fds: &mut [PollFd], timeout_ms: i32) -> i32 {
-        std::thread::sleep(std::time::Duration::from_millis(
-            timeout_ms.clamp(1, 10) as u64
-        ));
-        for fd in fds.iter_mut() {
-            fd.revents = fd.events;
-        }
-        fds.len() as i32
-    }
-
-    pub fn raw_fd(_stream: &impl Sized) -> i32 {
-        -1
     }
 }
 
@@ -307,8 +274,11 @@ struct Conn {
     /// Requests served on this connection (drives the per-connection cap).
     served: usize,
     last_active: Instant,
-    /// Stop parsing; close once `outbuf` drains.
+    /// Stop parsing; half-close once `outbuf` drains.
     closing: bool,
+    /// Our write side is shut: the connection lingers, discarding input,
+    /// until the peer's EOF or the idle timeout.
+    write_shut: bool,
     /// Peer half-closed its write side (read returned 0).
     saw_eof: bool,
 }
@@ -324,6 +294,7 @@ impl Conn {
             served: 0,
             last_active: now,
             closing: false,
+            write_shut: false,
             saw_eof: false,
         }
     }
@@ -530,15 +501,28 @@ impl Conn {
                 return false;
             }
             self.last_active = now;
-            if !self.closing {
+            if self.closing {
+                self.inbuf.clear();
+            } else {
                 self.serve_buffered(state, false);
             }
         }
         if self.wants_write() && self.flush_some().is_err() {
             return false;
         }
-        if (self.closing || self.saw_eof) && !self.wants_write() {
-            return false;
+        if !self.wants_write() {
+            if self.saw_eof {
+                return false;
+            }
+            if self.closing && !self.write_shut {
+                // Lingering close: send FIN now, drop the socket at the
+                // peer's EOF. Closing a socket that still holds unread
+                // input (say, a pipelined request after the one that
+                // closed the connection) makes the kernel answer with a
+                // reset, which can discard the response still in flight.
+                let _ = self.stream.shutdown(Shutdown::Write);
+                self.write_shut = true;
+            }
         }
         now.duration_since(self.last_active) <= state.http_idle_timeout
     }

@@ -45,6 +45,12 @@
 //! journal stays finite and the daemon's entire output is reproducible
 //! offline via [`service::replay_offline`] — bit for bit, which the
 //! integration tests assert over real sockets.
+//!
+//! Platform: the daemon is unix-only. The workspace vendors no `libc`, so
+//! the HTTP workers wait on sockets through a direct `poll(2)` binding,
+//! the binary installs its SIGINT/SIGTERM handler through `signal(2)`,
+//! and the tail tells a replaced log from a truncated one by its
+//! `(dev, inode)` pair (`std::os::unix::fs::MetadataExt`).
 
 pub mod event;
 pub mod http;

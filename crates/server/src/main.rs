@@ -55,7 +55,6 @@ extern "C" fn on_signal(_signum: i32) {
     SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
-#[cfg(unix)]
 fn install_signal_handlers() {
     // Direct signal(2) FFI: the workspace vendors no libc crate, and the
     // handler only touches an AtomicBool (async-signal-safe).
@@ -69,9 +68,6 @@ fn install_signal_handlers() {
         signal(SIGTERM, on_signal);
     }
 }
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
 
 struct Args {
     config: ServerConfig,

@@ -23,12 +23,17 @@
 //!   configured timeout, the per-connection request cap retires
 //!   connections with `Connection: close`, and shutdown drains in-flight
 //!   keep-alive connections before the workers exit.
+//! * request-head fuzzing — arbitrary bytes, written in random chunks to
+//!   one daemon and half-closed, always end in a close with only
+//!   well-framed responses and no worker panic; a head past the 16 KiB
+//!   cap gets a 400 and a close.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use proptest::prelude::*;
 use socialtrust::telemetry::MetricsExport;
 use socialtrust_server::event::{render_event, RelKind, ServerEvent};
 use socialtrust_server::service::{replay_offline, ServiceConfig};
@@ -877,6 +882,204 @@ fn malformed_second_request_closes_cleanly() {
     let (status, head, _) = conn.read_response();
     assert_eq!(status, 400, "malformed request head: {head}");
     assert!(head.contains("Connection: close"), "head: {head}");
+    conn.expect_eof();
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The token alphabet of the request-head fuzzer.
+const HEAD_TOKENS: &[&[u8]] = &[
+    b"GET",
+    b"/score/",
+    b"/scores?top=",
+    b"0",
+    b"1",
+    b"2",
+    b"3",
+    b"4",
+    b"5",
+    b"6",
+    b"7",
+    b"8",
+    b"9",
+    b"HTTP/1.1",
+    b"HTTP/1.0",
+    b"\r\n",
+    b":",
+    b"Connection",
+    b"keep-alive",
+    b"close",
+    b"Content-Length",
+    b"Transfer-Encoding",
+    b" ",
+    b"\xFF",
+];
+
+/// Token-alphabet input: one to three pipelined requests, each a request
+/// line and up to three headers. Every slot holds one of its usual tokens
+/// nine times in ten and any token of the alphabet otherwise, so inputs
+/// mix well-formed requests with near misses.
+struct TokenRequests;
+
+impl Strategy for TokenRequests {
+    type Value = Vec<u8>;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut slot = |usual: &[&str], rng: &mut proptest::TestRng| {
+            if (0..10).generate(rng) < 9 {
+                out.extend_from_slice(usual[(0..usual.len()).generate(rng)].as_bytes());
+            } else {
+                out.extend_from_slice(HEAD_TOKENS[(0..HEAD_TOKENS.len()).generate(rng)]);
+            }
+        };
+        const DIGITS: &[&str] = &["0", "1", "2", "3", "4", "5", "6", "7", "8", "9"];
+        for _ in 0..(1..=3).generate(rng) {
+            slot(&["GET"], rng);
+            slot(&[" "], rng);
+            slot(&["/score/", "/scores?top="], rng);
+            for _ in 0..(0..4).generate(rng) {
+                slot(DIGITS, rng);
+            }
+            slot(&[" "], rng);
+            slot(&["HTTP/1.1", "HTTP/1.0"], rng);
+            slot(&["\r\n"], rng);
+            for _ in 0..(0..=3).generate(rng) {
+                slot(&["Connection", "Content-Length", "Transfer-Encoding"], rng);
+                slot(&[":"], rng);
+                slot(&[" "], rng);
+                slot(&["keep-alive", "close", "0", "7"], rng);
+                slot(&["\r\n"], rng);
+            }
+            slot(&["\r\n"], rng);
+        }
+        out
+    }
+}
+
+/// Writes `bytes` in chunks of the given sizes (cycled), stopping early
+/// if the daemon has already closed, then half-closes and reads to EOF.
+/// Returns everything received, or why the connection did not close.
+fn send_and_drain(
+    addr: SocketAddr,
+    bytes: &[u8],
+    chunk_sizes: &[usize],
+) -> Result<Vec<u8>, String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .map_err(|e| format!("read timeout: {e}"))?;
+    let mut rest = bytes;
+    for &size in chunk_sizes.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (chunk, tail) = rest.split_at(size.min(rest.len()));
+        if stream.write_all(chunk).is_err() {
+            break;
+        }
+        rest = tail;
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut received = Vec::new();
+    match stream.read_to_end(&mut received) {
+        Ok(_) => Ok(received),
+        Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => Err(
+            format!("no close within 5 s after {} bytes", received.len()),
+        ),
+        Err(e) => Err(format!("read after {} bytes: {e}", received.len())),
+    }
+}
+
+/// Splits a byte stream into responses, each a status line, headers with
+/// `Content-Length`, and exactly that many body bytes; returns their
+/// status codes.
+fn parse_responses(mut bytes: &[u8]) -> Result<Vec<u16>, String> {
+    let mut statuses = Vec::new();
+    while !bytes.is_empty() {
+        let head_end = bytes
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .ok_or("response head without a blank line")?
+            + 4;
+        let head = std::str::from_utf8(&bytes[..head_end]).map_err(|_| "non-UTF-8 head")?;
+        let status = head
+            .strip_prefix("HTTP/1.1 ")
+            .and_then(|rest| rest.get(..3))
+            .and_then(|code| code.parse().ok())
+            .ok_or_else(|| format!("bad status line in {head:?}"))?;
+        let length: usize = head
+            .split("\r\n")
+            .find_map(|line| {
+                let (name, value) = line.split_once(':')?;
+                name.eq_ignore_ascii_case("content-length")
+                    .then(|| value.trim().parse().ok())?
+            })
+            .ok_or_else(|| format!("no Content-Length in {head:?}"))?;
+        if bytes.len() < head_end + length {
+            return Err(format!("body shorter than Content-Length in {head:?}"));
+        }
+        statuses.push(status);
+        bytes = &bytes[head_end + length..];
+    }
+    Ok(statuses)
+}
+
+#[test]
+fn fuzzed_request_heads_end_in_a_clean_close() {
+    let dir = temp_dir("http-fuzz");
+    let handle = seed_daemon(&dir);
+    let addr = handle.addr();
+    let input = (
+        prop_oneof![proptest::collection::vec(0u8..=255, 0..512), TokenRequests],
+        proptest::collection::vec(1usize..48, 1..8),
+    );
+    proptest::runner::run(
+        &ProptestConfig::with_cases(512),
+        "fuzzed_request_heads_end_in_a_clean_close",
+        |rng| {
+            let (bytes, chunk_sizes) = input.generate(rng);
+            let received = send_and_drain(addr, &bytes, &chunk_sizes)
+                .map_err(|e| TestCaseError::fail(format!("{e}; sent {bytes:?}")))?;
+            parse_responses(&received).map_err(|e| {
+                TestCaseError::fail(format!(
+                    "{e}; sent {bytes:?}, got {:?}",
+                    String::from_utf8_lossy(&received)
+                ))
+            })?;
+            Ok(())
+        },
+    );
+
+    let panics = handle
+        .state()
+        .telemetry()
+        .registry()
+        .counter("server_worker_panics_total")
+        .get();
+    assert_eq!(panics, 0, "an HTTP worker panicked");
+    let (status, body) = http_get(addr, "/healthz");
+    assert_eq!(status, 200, "healthz after fuzzing: {body}");
+    assert!(body.contains("\"status\":\"ok\""), "healthz body: {body}");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn oversized_head_without_blank_line_is_refused() {
+    let dir = temp_dir("http-head-cap");
+    let handle = seed_daemon(&dir);
+    let mut conn = KaConn::connect(handle.addr());
+    let mut head = b"GET /score/1 HTTP/1.1\r\nX-Filler: ".to_vec();
+    head.resize(20 * 1024, b'a');
+    conn.send_raw(&head);
+    let (status, response_head, body) = conn.read_response();
+    assert_eq!(status, 400, "oversized head: {response_head}");
+    assert!(
+        response_head.contains("Connection: close"),
+        "head: {response_head}"
+    );
+    assert!(body.contains("request head too large"), "body: {body}");
     conn.expect_eof();
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
